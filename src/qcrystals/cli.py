@@ -189,6 +189,8 @@ def _conjecture_job(payload):
 
 
 def cmd_check(args, parser):
+    if args.max_size < 1:
+        parser.error(f"--max-size must be >= 1, got {args.max_size}")
     which = args.which
     results = {"theorems": [], "conjectures": []}
     theorem_jobs = [(name, args.max_size) for name, _ in verify.THEOREM_SUITES] \

@@ -7,7 +7,8 @@ of the rightmost surviving ')', the raising operator on the letter i+1 of the
 leftmost surviving '('. A null action is returned as None, never an error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidParameters
 from .tableaux import (
@@ -100,21 +101,32 @@ class CrystalGraph:
     Vertices are tableaux (kind 'tableau') or words (kind 'word'), indexed in
     BFS discovery order from the source with children visited by ascending
     label, so the layout is canonical. Edges are (from, to, label) triples.
+    The vertex index and the adjacency maps are derived from those fields on
+    first use, so dataclasses.replace() yields a graph with its own maps.
     """
     vertices: tuple
     edges: tuple[tuple[int, int, int], ...]
     source: int | None
     max_entry: int
     kind: str = "tableau"
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _out: dict = field(default_factory=dict, repr=False, compare=False)
-    _in: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._index.update({v: k for k, v in enumerate(self.vertices)})
+    @cached_property
+    def _index(self) -> dict:
+        return {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _out(self) -> dict[int, dict[int, int]]:
+        out: dict[int, dict[int, int]] = {}
         for u, v, i in self.edges:
-            self._out.setdefault(u, {})[i] = v
-            self._in.setdefault(v, {})[i] = u
+            out.setdefault(u, {})[i] = v
+        return out
+
+    @cached_property
+    def _in(self) -> dict[int, dict[int, int]]:
+        into: dict[int, dict[int, int]] = {}
+        for u, v, i in self.edges:
+            into.setdefault(v, {})[i] = u
+        return into
 
     def index_of(self, vertex) -> int:
         return self._index[vertex]
@@ -147,6 +159,31 @@ class CrystalGraph:
                         nxt.append(v)
             queue = nxt
         return dist
+
+
+def connected_components(vertices, neighbours) -> list[set]:
+    """Components of the undirected graph induced on vertices.
+
+    neighbours(u) lists the vertices adjacent to u in either direction; those
+    outside vertices are ignored. Components come in the order of their first
+    vertex in vertices.
+    """
+    members = set(vertices)
+    seen: set = set()
+    components = []
+    for start in vertices:
+        if start in seen:
+            continue
+        component = {start}
+        stack = [start]
+        while stack:
+            for v in neighbours(stack.pop()):
+                if v in members and v not in component:
+                    component.add(v)
+                    stack.append(v)
+        seen |= component
+        components.append(component)
+    return components
 
 
 def _bfs_graph(start, operators: int, step, kind: str, max_entry: int) -> CrystalGraph:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .crystal import CrystalGraph, generate_crystal
-from .errors import InvalidParameters
+from .crystal import CrystalGraph, connected_components, generate_crystal
+from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Partition, Tableau,
     check_composition, check_partition, composition_to_descent_set,
@@ -61,37 +61,36 @@ def decompose(G: CrystalGraph) -> list[Subcomponent]:
     Vertices are grouped by descent composition; each group is split into
     weakly connected components of the induced subgraph (connectivity per
     group is a theorem, the split turns it into a checked invariant). Each
-    class must have exactly one internal source.
+    class must have exactly one internal source, otherwise InternalError.
     """
     groups: dict[Composition, list[int]] = {}
     for k, T in enumerate(G.vertices):
         groups.setdefault(descent_composition(T), []).append(k)
 
+    def neighbours(u):
+        return (*G.out_edges(u).values(), *G.in_edges(u).values())
+
+    classes = [(alpha, component) for alpha, members in groups.items()
+               for component in connected_components(members, neighbours)]
+    class_of = [0] * len(G.vertices)
+    for k, (_, component) in enumerate(classes):
+        for v in component:
+            class_of[v] = k
+    internal: list[list] = [[] for _ in classes]
+    for edge in G.edges:
+        k = class_of[edge[0]]
+        if class_of[edge[1]] == k:
+            internal[k].append(edge)
+
     subs = []
-    for alpha, members in groups.items():
-        member_set = set(members)
-        seen: set[int] = set()
-        for start in members:
-            if start in seen:
-                continue
-            component = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in list(G.out_edges(u).values()) + list(G.in_edges(u).values()):
-                    if v in member_set and v not in component:
-                        component.add(v)
-                        stack.append(v)
-            seen |= component
-            edges = tuple((u, v, i) for u, v, i in G.edges
-                          if u in component and v in component)
-            incoming = {v for _, v, _ in edges}
-            sources = [u for u in component if u not in incoming]
-            if len(sources) != 1:
-                raise AssertionError(
-                    f"descent class {alpha} has {len(sources)} sources")
-            subs.append(Subcomponent(alpha, G.vertices[sources[0]], sources[0],
-                                     frozenset(component), edges))
+    for (alpha, component), edges in zip(classes, internal):
+        incoming = {v for _, v, _ in edges}
+        sources = [u for u in component if u not in incoming]
+        if len(sources) != 1:
+            raise InternalError(
+                f"descent class {alpha} has {len(sources)} sources")
+        subs.append(Subcomponent(alpha, G.vertices[sources[0]], sources[0],
+                                 frozenset(component), tuple(edges)))
     subs.sort(key=lambda s: s.source_index)
     return subs
 

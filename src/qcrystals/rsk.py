@@ -14,7 +14,7 @@ from .errors import EmptyInput, EntryOutOfRange, InvalidPair
 from .tableaux import (
     Tableau, Word,
     from_rows, is_partition, is_semistandard, is_standard, max_entry,
-    reading_word, shape_of, tableau_size,
+    shape_of, tableau_size,
 )
 
 
@@ -175,28 +175,13 @@ def _slide(grid: list[list[int | None]], r: int, c: int) -> None:
         grid.pop(r)
 
 
-def jdt_rectify(S: SkewTableau) -> Tableau:
+def jdt_rectify(S: SkewTableau, choose=max) -> Tableau:
     """Rectification of a skew tableau by inward slides.
 
-    The result does not depend on the order in which inner corners are used;
-    for determinism the south-east-most corner (max row, then max column) is
-    always taken.
+    choose(corners) picks the inner corner of each slide. The result does not
+    depend on that order; the default takes the south-east-most corner (max
+    row, then max column), and tests pass other orders to check this.
     """
-    if not S.is_valid():
-        raise InvalidPair(f"not a valid skew tableau: {S}")
-    grid: list[list[int | None]] = [
-        [None] * S.inner[i] + list(S.rows[i]) for i in range(len(S.rows))]
-    inner = list(S.inner)
-    while any(inner):
-        r, c = max(_inner_corners(inner))
-        inner[r] -= 1
-        _slide(grid, r, c)
-        inner = inner[:len(grid)]
-    return from_rows(grid)
-
-
-def jdt_rectify_with_order(S: SkewTableau, choose) -> Tableau:
-    """Rectify using choose(corners) to pick each slide; for order-independence tests."""
     if not S.is_valid():
         raise InvalidPair(f"not a valid skew tableau: {S}")
     grid: list[list[int | None]] = [
@@ -250,18 +235,3 @@ def rsk_of_rot(w: Word, n: int) -> RskPair:
     independently.
     """
     return rsk(rot_word(w, n))
-
-
-def plactic_equivalent(w1: Word, w2: Word) -> bool:
-    """Same insertion tableau, i.e. the same position in isomorphic components."""
-    return rsk(w1).P == rsk(w2).P
-
-
-def coplactic_equivalent(w1: Word, w2: Word) -> bool:
-    """Same recording tableau, i.e. the same connected word-crystal component."""
-    return rsk(w1).Q == rsk(w2).Q
-
-
-def evacuation_reading_identity(T: Tableau, n: int) -> bool:
-    """reading-word form of the rotation: rw(rot(T)) == rot(rw(T))."""
-    return skew_reading_word(rotate180_complement(T, n)) == rot_word(reading_word(T), n)

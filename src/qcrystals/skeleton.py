@@ -6,13 +6,15 @@ yields the skeleton: a labelled oriented graph on standard tableaux that is
 stable once the alphabet is large enough. The checkers at the bottom compare
 it against dual equivalence graphs and probe the structure of its
 fixed-descent-count strata; their results are reports, never assertions, so
-runs on new territory cannot fail a build.
+runs on new territory cannot fail a build. Report, defined here, is the one
+report type of the package: the verify suites return it too.
 """
 
 from dataclasses import dataclass
 
-from .crystal import generate_crystal
+from .crystal import connected_components, generate_crystal
 from .decomposition import decompose, subcomponent_sink
+from .errors import InternalError
 from .rsk import evacuate
 from .tableaux import (
     Partition, Tableau,
@@ -88,7 +90,7 @@ def skeleton_stable(shape: Partition) -> SkeletonGraph:
     sk = build_skeleton(shape, S)
     again = build_skeleton(shape, S + 1)
     if sk != again:
-        raise AssertionError(f"skeleton of {shape} not stable at bound {S}")
+        raise InternalError(f"skeleton of {shape} not stable at bound {S}")
     return sk
 
 
@@ -116,25 +118,6 @@ def _undirected_adjacency(vertices, edges):
         adj[u].add(v)
         adj[v].add(u)
     return adj
-
-
-def _connected_components(adj):
-    seen = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(comp)
-    return comps
 
 
 def _is_simple_path(comp, adj) -> bool:
@@ -226,7 +209,7 @@ def _classify_component(comp, adj, in_deg, out_deg) -> str:
     removable = {v for v in comp if in_deg[v] == 0 or out_deg[v] == 0}
     rest = comp - removable
     if rest and removable:
-        pieces = _connected_components({v: adj[v] & rest for v in rest})
+        pieces = connected_components(rest, adj.__getitem__)
         if all(_is_even_cycle_union(p, adj) for p in pieces) \
                 and len(removable) <= 2 * len(pieces):
             return EVEN_CYCLES
@@ -248,7 +231,7 @@ def classify_subgraph(vertices, edges) -> str:
         out_deg[u] += 1
         in_deg[v] += 1
     kinds = {_classify_component(comp, adj, in_deg, out_deg)
-             for comp in _connected_components(adj)}
+             for comp in connected_components(adj, adj.__getitem__)}
     if kinds <= {SINGLETONS}:
         return SINGLETONS
     if kinds <= {SINGLETONS, CHAINS}:
@@ -320,10 +303,20 @@ def dual_equivalence_graph(shape: Partition) -> DualEquivalenceGraph:
 
 @dataclass(frozen=True)
 class Report:
+    """Result of a checker or a verify suite: a deterministic payload.
+
+    wall_time is the seconds the run took where the caller measured it, and
+    0.0 otherwise; it never enters the payload.
+    """
     name: str
     passed: bool
     details: tuple
+    wall_time: float = 0.0
     notes: tuple[str, ...] = ()
+
+    def summary(self) -> str:
+        status = "pass" if self.passed else "FAIL"
+        return f"{self.name}: {status} ({self.wall_time:.2f}s)"
 
 
 def check_dual_equivalence_conjecture(shape: Partition) -> Report:

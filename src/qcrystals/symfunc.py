@@ -57,14 +57,12 @@ class _Expansion:
 
     def __add__(self, other):
         merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged.get(k, 0) + v
+        _add_terms(merged, other.terms.items(), 1)
         return type(self)(merged)
 
     def __sub__(self, other):
         merged = dict(self.terms)
-        for k, v in other.terms.items():
-            merged[k] = merged.get(k, 0) - v
+        _add_terms(merged, other.terms.items(), -1)
         return type(self)(merged)
 
     def __rmul__(self, scalar: int):
@@ -95,6 +93,16 @@ def _schur_to_f_terms(shape: Partition) -> tuple[tuple[Composition, int], ...]:
     return tuple(sorted(census.items()))
 
 
+def _add_terms(terms: dict, census, scale: int) -> None:
+    """terms += scale * census in place, dropping coefficients that reach zero."""
+    for support, count in census:
+        total = terms.get(support, 0) + scale * count
+        if total:
+            terms[support] = total
+        else:
+            terms.pop(support, None)
+
+
 def schur_to_f(shape: Partition) -> FExpansion:
     """Expand one Schur function in the fundamental basis.
 
@@ -106,10 +114,10 @@ def schur_to_f(shape: Partition) -> FExpansion:
 
 def schur_expansion_to_f(g: SchurExpansion) -> FExpansion:
     """Linear extension of schur_to_f."""
-    out = FExpansion({})
+    terms: dict[Composition, int] = {}
     for shape, coeff in g.terms.items():
-        out = out + coeff * schur_to_f(shape)
-    return out
+        _add_terms(terms, _schur_to_f_terms(check_partition(shape)), coeff)
+    return FExpansion(terms)
 
 
 def f_to_monomials(alpha: Composition, n: int) -> list[tuple[int, ...]]:
@@ -157,22 +165,19 @@ def schurify(f: FExpansion) -> SchurExpansion:
     integers; the iteration cap is unreachable for homogeneous inputs.
     """
     result: dict[Partition, int] = {}
-    work = f
-    if work.degree is not None:
-        cap = 2 ** (work.degree - 1) + 1
-    else:
-        cap = 1
+    work = dict(f.terms)
+    cap = 2 ** (f.degree - 1) + 1 if f.degree is not None else 1
     for _ in range(cap):
-        if not work.terms:
+        if not work:
             return SchurExpansion(result)
-        alpha = leading_support(work)
+        alpha = max(work)
         if not is_partition(alpha):
             raise NotSymmetric(
                 f"leading support {alpha} is not a partition; "
                 "the input is not a symmetric function")
-        coeff = work.terms[alpha]
+        coeff = work[alpha]
         result[alpha] = result.get(alpha, 0) + coeff
-        work = work - coeff * schur_to_f(alpha)
+        _add_terms(work, _schur_to_f_terms(alpha), -coeff)
     raise InternalError("leading-support elimination failed to terminate")
 
 

@@ -14,13 +14,12 @@ Cell coordinates are (row, column), 0-indexed internally.
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb, factorial
+from math import factorial
 
 from .errors import EmptyInput, InvalidParameters
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
-WeightVector = tuple[int, ...]
 Word = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -46,14 +45,6 @@ def check_composition(parts) -> Composition:
     if not all(p >= 1 for p in parts):
         raise InvalidParameters(f"not a composition (needs positive parts): {parts}")
     return parts
-
-
-def check_weight_vector(counts, n: int) -> WeightVector:
-    """Length-n count vector; unlike compositions, zeros are allowed anywhere."""
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != n or any(c < 0 for c in counts):
-        raise InvalidParameters(f"not a length-{n} weight vector: {counts}")
-    return counts
 
 
 def partitions_of(m: int, max_length: int | None = None) -> list[Partition]:
@@ -156,13 +147,6 @@ def word_descent_composition(w: Word) -> Composition:
     return descent_set_to_composition(word_descents(w), len(w))
 
 
-def word_weight(w: Word, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for letter in w:
-        counts[letter - 1] += 1
-    return tuple(counts)
-
-
 def standardize_word(w: Word) -> Word:
     """Relabel equal letters left to right so the result is a permutation.
 
@@ -176,13 +160,6 @@ def standardize_word(w: Word) -> Word:
     for label, j in enumerate(order, 1):
         std[j] = label
     return tuple(std)
-
-
-def inverse_permutation(w: Word) -> Word:
-    inv = [0] * len(w)
-    for j, v in enumerate(w, 1):
-        inv[v - 1] = j
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +221,6 @@ def reading_word(T: Tableau) -> Word:
 
 def from_rows(rows) -> Tableau:
     return tuple(tuple(int(v) for v in row) for row in rows)
-
-
-def monomial_exponents(T: Tableau, n: int) -> tuple[int, ...]:
-    """Exponent vector of the monomial x^T in n variables."""
-    return weight_of(T, n)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +431,3 @@ def sources_of_type(shape: Partition, alpha: Composition) -> list[Tableau]:
         if comp == alpha:
             out.append(destandardize(T, alpha))
     return out
-
-
-def count_one_row_tableaux(m: int, k: int) -> int:
-    """Number of weakly increasing length-m sequences over 1..k."""
-    if m < 1 or k < 1:
-        raise InvalidParameters("m and k must be >= 1")
-    return comb(m + k - 1, k - 1)

@@ -2,13 +2,14 @@
 
 Two tiers: theorem suites assert facts the library is built on and must all
 pass; conjecture suites produce structured reports that are never fatal, so
-runs beyond the verified envelope simply record what they find. Each suite
-returns a RunReport with a deterministic result payload and its wall time.
+runs beyond the verified envelope simply record what they find. Every suite
+returns skeleton.Report, the package's one report type, with a deterministic
+result payload and its wall time.
 """
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from math import comb
 
 from . import skeleton, symfunc
@@ -22,11 +23,11 @@ from .decomposition import (
     weight_matching_bijection, weight_multiplicity_in_subcomponent,
 )
 from .rsk import (
-    evacuate, jdt_rectify, jdt_rectify_with_order, rot_word, rsk, rsk_inverse,
+    evacuate, jdt_rectify, rot_word, rsk, rsk_inverse,
     rsk_of_rot, skew_from_rows, skew_reading_word,
 )
 from .skeleton import (
-    build_skeleton, check_dual_equivalence_conjecture, check_evac_duality,
+    Report, build_skeleton, check_dual_equivalence_conjecture, check_evac_duality,
     check_reordering_conjecture, check_skeleton_strata,
     max_descent_composition_length,
 )
@@ -44,22 +45,9 @@ from .tableaux import (
 )
 
 
-@dataclass(frozen=True)
-class RunReport:
-    name: str
-    passed: bool
-    details: tuple
-    wall_time: float
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.name}: {status} ({self.wall_time:.2f}s)"
-
-
-def _report(name, failures, details=(), started=None):
-    elapsed = time.perf_counter() - started if started is not None else 0.0
-    payload = tuple(details) + (("failures", tuple(failures[:20])),)
-    return RunReport(name, not failures, payload, elapsed)
+def _report(name, failures, started):
+    payload = (("failures", tuple(failures[:20])),)
+    return Report(name, not failures, payload, time.perf_counter() - started)
 
 
 def _shapes(max_size):
@@ -74,7 +62,7 @@ def _moment(weights) -> int:
 # ---------------------------------------------------------------------------
 # theorem suites
 
-def parsing_suite(max_size: int = 6, alphabet: int = 4) -> RunReport:
+def parsing_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     """Bands, standardization, descent compositions, band-filling sources."""
     started = time.perf_counter()
     failures = []
@@ -124,7 +112,7 @@ def parsing_suite(max_size: int = 6, alphabet: int = 4) -> RunReport:
                    started=started)
 
 
-def refinement_order_suite(max_size: int = 8) -> RunReport:
+def refinement_order_suite(max_size: int = 8) -> Report:
     """The refinement relation is a partial order on compositions of fixed size."""
     started = time.perf_counter()
     failures = []
@@ -147,7 +135,7 @@ def refinement_order_suite(max_size: int = 8) -> RunReport:
                    started=started)
 
 
-def crystal_suite(max_size: int = 6, alphabet: int = 4) -> RunReport:
+def crystal_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     """Generation matches enumeration; operator and degree laws hold."""
     started = time.perf_counter()
     failures = []
@@ -184,7 +172,7 @@ def crystal_suite(max_size: int = 6, alphabet: int = 4) -> RunReport:
                    failures, started=started)
 
 
-def decomposition_suite(max_size: int = 6, alphabet: int = 4) -> RunReport:
+def decomposition_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     """Partition into classes, sources, sinks, heights, one-row isomorphisms."""
     started = time.perf_counter()
     failures = []
@@ -249,7 +237,7 @@ def decomposition_suite(max_size: int = 6, alphabet: int = 4) -> RunReport:
                    failures, started=started)
 
 
-def counting_suite(max_size: int = 7, alphabet: int = 6) -> RunReport:
+def counting_suite(max_size: int = 7, alphabet: int = 6) -> Report:
     """Count formula and one-row counts against brute-force enumeration."""
     started = time.perf_counter()
     failures = []
@@ -265,7 +253,7 @@ def counting_suite(max_size: int = 7, alphabet: int = 6) -> RunReport:
                    failures, started=started)
 
 
-def kostka_suite(max_size: int = 7) -> RunReport:
+def kostka_suite(max_size: int = 7) -> Report:
     """Descent-set Kostka formula against brute-force weight counting."""
     started = time.perf_counter()
     failures = []
@@ -283,7 +271,7 @@ def kostka_suite(max_size: int = 7) -> RunReport:
     return _report(f"Kostka numbers up to size {max_size}", failures, started=started)
 
 
-def rsk_suite(random_words: int = 300, seed: int = 7) -> RunReport:
+def rsk_suite(random_words: int = 300, seed: int = 7) -> Report:
     """Insertion, descents, rotation, evacuation identities on words."""
     started = time.perf_counter()
     failures = []
@@ -346,7 +334,7 @@ def _all_words(n, max_len):
         yield from words
 
 
-def jdt_suite(samples: int = 120, seed: int = 23) -> RunReport:
+def jdt_suite(samples: int = 120, seed: int = 23) -> Report:
     """Rectification is order-independent and agrees with row insertion."""
     started = time.perf_counter()
     failures = []
@@ -361,7 +349,7 @@ def jdt_suite(samples: int = 120, seed: int = 23) -> RunReport:
         base = jdt_rectify(S)
         for pick in (min, lambda corners: corners[0],
                      lambda corners: rng.choice(corners)):
-            if jdt_rectify_with_order(S, pick) != base:
+            if jdt_rectify(S, pick) != base:
                 failures.append(("slide order dependence", S))
         if rsk(skew_reading_word(S)).P != base:
             failures.append(("rectification vs insertion", S))
@@ -395,7 +383,7 @@ def _random_skew(rng, inner):
     return skew_from_rows(inner, [row[inner[i]:] for i, row in enumerate(grid)])
 
 
-def evacuation_suite(max_size: int = 5, alphabet: int = 4) -> RunReport:
+def evacuation_suite(max_size: int = 5, alphabet: int = 4) -> Report:
     """Involution, descent reversal, anti-automorphism, class duality."""
     started = time.perf_counter()
     failures = []
@@ -427,7 +415,7 @@ def evacuation_suite(max_size: int = 5, alphabet: int = 4) -> RunReport:
                    failures, started=started)
 
 
-def skeleton_suite(max_size: int = 6) -> RunReport:
+def skeleton_suite(max_size: int = 6) -> Report:
     """Stability at the bound, restriction below it, descent-count steps."""
     started = time.perf_counter()
     failures = []
@@ -457,7 +445,7 @@ def skeleton_suite(max_size: int = 6) -> RunReport:
                    started=started)
 
 
-def dual_equivalence_suite(max_size: int = 6) -> RunReport:
+def dual_equivalence_suite(max_size: int = 6) -> Report:
     """The elementary maps are involutions with standard images."""
     started = time.perf_counter()
     failures = []
@@ -479,7 +467,7 @@ def dual_equivalence_suite(max_size: int = 6) -> RunReport:
                    failures, started=started)
 
 
-def monomial_suite(max_size: int = 6, alphabet: int = 4) -> RunReport:
+def monomial_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     """Class monomials, fundamental monomials, and full crystal monomials agree."""
     started = time.perf_counter()
     failures = []
@@ -511,7 +499,7 @@ def monomial_suite(max_size: int = 6, alphabet: int = 4) -> RunReport:
                    failures, started=started)
 
 
-def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> RunReport:
+def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Report:
     """Exact recovery of random positive Schur combinations."""
     started = time.perf_counter()
     failures = []
@@ -559,36 +547,33 @@ THEOREM_SUITES = (
 )
 
 
-def run_theorem_suite(name: str, max_size: int) -> RunReport:
-    table = dict(THEOREM_SUITES)
-    fn = table[name]
-    if name == "refinement-order":
-        return fn(max_size=min(max_size, 8))
-    if name in ("rsk", "jdt", "schurify"):
-        return fn()
-    if name == "evacuation":
-        return fn(max_size=min(max_size, 5))
-    if name in ("counting", "kostka"):
-        return fn(max_size=min(max_size, 7))
-    return fn(max_size=max_size)
+# The largest size each theorem suite is run at; None marks the suites whose
+# inputs are fixed, which take no size. Suites not listed run at any size.
+_SIZE_CAPS = {"refinement-order": 8, "counting": 7, "kostka": 7,
+              "evacuation": 5, "rsk": None, "jdt": None, "schurify": None}
 
 
-def run_conjecture_suite(name: str, max_size: int) -> list[RunReport]:
-    reports = []
+def run_theorem_suite(name: str, max_size: int) -> Report:
+    fn = dict(THEOREM_SUITES)[name]
+    cap = _SIZE_CAPS.get(name, max_size)
+    return fn() if cap is None else fn(max_size=min(max_size, cap))
+
+
+def run_conjecture_suite(name: str, max_size: int) -> list[Report]:
+    """One report per size or shape, each timed around its checker call."""
     if name == "reordering":
-        for m in range(1, max_size + 1):
-            r = check_reordering_conjecture(m)
-            reports.append(RunReport(r.name, r.passed, r.details, 0.0))
+        check, inputs = check_reordering_conjecture, range(1, max_size + 1)
     elif name == "skeleton-strata":
-        for shape in _shapes(max_size):
-            r = check_skeleton_strata(shape)
-            reports.append(RunReport(r.name, r.passed, r.details, 0.0))
+        check, inputs = check_skeleton_strata, _shapes(max_size)
     elif name == "dual-equivalence-containment":
-        for shape in _shapes(max_size):
-            r = check_dual_equivalence_conjecture(shape)
-            reports.append(RunReport(r.name, r.passed, r.details, 0.0))
+        check, inputs = check_dual_equivalence_conjecture, _shapes(max_size)
     else:
         raise ValueError(f"unknown conjecture suite {name}")
+    reports = []
+    for value in inputs:
+        started = time.perf_counter()
+        report = check(value)
+        reports.append(replace(report, wall_time=time.perf_counter() - started))
     return reports
 
 

@@ -143,6 +143,9 @@ class TestCli:
         assert code == 2
         code, _, _ = run_cli(["crystal", "--shape", "1,2", "--max-entry", "3"])
         assert code == 2
+        for size in ("0", "-1"):
+            code, out, err = run_cli(["check", "--max-size", size])
+            assert code == 2 and out == "" and "--max-size" in err
 
     def test_count_bm(self):
         code, out, _ = run_cli(["count", "bm", "--size", "10", "--max-entry", "5"])

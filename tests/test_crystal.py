@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -200,6 +201,18 @@ class TestGenerateCrystal:
     def test_invalid_alphabet(self):
         with pytest.raises(InvalidParameters):
             generate_crystal((2, 1), 0)
+
+    def test_replace_derives_its_own_adjacency(self):
+        G = generate_crystal((2,), 3)
+        before = [(dict(G.out_edges(k)), dict(G.in_edges(k)))
+                  for k in range(len(G.vertices))]
+        H = replace(G, edges=((0, 5, 2),))
+        assert H.out_edges(0) == {2: 5} and H.in_edges(5) == {2: 0}
+        assert H.out_edges(1) == {} and H.in_edges(1) == {}
+        assert H.index_of(G.vertices[5]) == 5
+        assert [(G.out_edges(k), G.in_edges(k))
+                for k in range(len(G.vertices))] == before
+        assert H != G and replace(H, edges=G.edges) == G
 
     def test_full_invariant_domain(self):
         # generation laws over every shape of size <= 7, alphabet <= 5

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from qcrystals.crystal import generate_crystal
+from qcrystals.crystal import CrystalGraph, generate_crystal
 from qcrystals.decomposition import (
     QuasicrystalClass, canonical_quasicrystal,
     check_descent_composition_conditions, count_bm, count_ssyt_formula,
@@ -10,7 +10,7 @@ from qcrystals.decomposition import (
     subcomponent_sink, verify_subcomponent_iso, weight_matching_bijection,
     weight_multiplicity_in_subcomponent,
 )
-from qcrystals.errors import InvalidParameters
+from qcrystals.errors import InternalError, InvalidParameters
 from qcrystals.tableaux import (
     descent_composition, enumerate_ssyt, highest_weight_tableau,
     partitions_of, syt_descent_compositions, weight_of,
@@ -59,6 +59,14 @@ class TestDecompose:
             source = sub.source
             assert weight_of(source, len(sub.alpha)) == sub.alpha
             assert descent_composition(source) == sub.alpha
+
+    def test_class_with_two_sources_is_an_internal_error(self):
+        G = generate_crystal((2,), 3)
+        target = G.index_of(T([2, 2]))
+        H = CrystalGraph(G.vertices, tuple(e for e in G.edges if e[1] != target),
+                         G.source, G.max_entry)
+        with pytest.raises(InternalError, match="has 2 sources"):
+            decompose(H)
 
 
 class TestSinkAndHeight:

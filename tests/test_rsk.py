@@ -5,7 +5,7 @@ import pytest
 from qcrystals.crystal import e_word, f_tableau, f_word, generate_crystal
 from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidPair
 from qcrystals.rsk import (
-    evacuate, jdt_rectify, jdt_rectify_with_order, rot_word,
+    evacuate, jdt_rectify, rot_word,
     rotate180_complement, rsk, rsk_inverse, rsk_of_rot, skew_from_rows,
     skew_reading_word, straight_as_skew,
 )
@@ -96,7 +96,7 @@ class TestJdt:
         S = skew_from_rows((2, 1), [[1, 1], [1, 2, 2]])
         base = jdt_rectify(S)
         for pick in (min, max, lambda corners: rng.choice(corners)):
-            assert jdt_rectify_with_order(S, pick) == base
+            assert jdt_rectify(S, pick) == base
 
     def test_rectification_matches_insertion(self):
         S = skew_from_rows((3, 2, 0), [[1, 1], [2, 2, 3], [1, 2, 3]])

@@ -1,7 +1,11 @@
 from collections import Counter
 
+import pytest
+
+from qcrystals import skeleton
 from qcrystals.crystal import generate_crystal
 from qcrystals.decomposition import decompose
+from qcrystals.errors import InternalError
 from qcrystals.skeleton import (
     CHAINS, EVEN_CYCLES, OTHER, SINGLETONS,
     build_skeleton, check_dual_equivalence_conjecture, check_evac_duality,
@@ -67,6 +71,13 @@ class TestSkeletonStable:
         assert (len(v3), len(e3)) == (8, 6)
         assert classify_subgraph(v2, e2) == EVEN_CYCLES
         assert classify_subgraph(v3, e3) == CHAINS
+
+    def test_unstable_skeleton_is_an_internal_error(self, monkeypatch):
+        build = skeleton.build_skeleton
+        monkeypatch.setattr(skeleton, "build_skeleton",
+                            lambda shape, n: build(shape, n - 1))
+        with pytest.raises(InternalError, match="not stable"):
+            skeleton_stable((3, 2))
 
     def test_restriction_below_bound(self):
         stable = skeleton_stable((3, 2))

@@ -21,6 +21,7 @@ class TestConjectureSuites:
         for name in verify.CONJECTURE_SUITES:
             reports = verify.run_conjecture_suite(name, 4)
             assert reports and all(r.passed for r in reports)
+            assert all(r.wall_time > 0 for r in reports)
 
     def test_new_territory_is_reported_not_asserted(self):
         # size 7 is beyond the verified envelope: the checker must return a
