@@ -17,7 +17,7 @@ from .crystal import generate_crystal
 from .decomposition import (
     count_bm, count_ssyt_formula, decompose, kostka,
 )
-from .errors import QCrystalsError
+from .errors import InvalidParameters, QCrystalsError
 from .render import (
     crystal_to_dot, crystal_to_json, dual_equivalence_to_dot,
     dual_equivalence_to_json, skeleton_to_dot, skeleton_to_json,
@@ -138,8 +138,11 @@ def cmd_schurify(args, parser):
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        with open(args.input) as handle:
-            text = handle.read()
+        try:
+            with open(args.input) as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise InvalidParameters(f"cannot read {args.input}: {exc.strerror}") from None
     expansion = parse_f_expansion(text)
     print(format_schur_expansion(schurify(expansion)))
     return 0

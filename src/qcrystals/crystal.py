@@ -5,10 +5,20 @@ word is a ')' and each i+1 a '('; coupled pairs (a '(' later closed by a ')')
 are removed, leaving )^phi (^eps. The lowering operator acts on the letter i
 of the rightmost surviving ')', the raising operator on the letter i+1 of the
 leftmost surviving '('. A null action is returned as None, never an error.
+
+Crystals are generated on reading words, which are in bijection with the
+tableaux of a fixed shape. One left-to-right scan of a word finds, for every
+i at once, the position f_i changes (_lowering_positions), and a single word
+BFS serves generate_crystal and word_crystal_component; words become
+tableaux only when the returned CrystalGraph is built. paren_reduce and the
+per-i operators f_word, e_word, f_tableau and e_tableau apply the rule one
+letter at a time; they are kept as the independent slow oracle that the
+verify suites and the tests compare the generator against.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import InvalidParameters
 from .tableaux import (
@@ -16,6 +26,8 @@ from .tableaux import (
     check_partition, highest_weight_tableau, reading_cells, reading_word,
     shape_of,
 )
+
+_NO_EDGES = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,8 @@ class CrystalGraph:
     BFS discovery order from the source with children visited by ascending
     label, so the layout is canonical. Edges are (from, to, label) triples.
     The vertex index and the adjacency maps are derived from those fields on
-    first use, so dataclasses.replace() yields a graph with its own maps.
+    first use, so dataclasses.replace() yields a graph with its own maps;
+    out_edges and in_edges hand them out as read-only views.
     """
     vertices: tuple
     edges: tuple[tuple[int, int, int], ...]
@@ -115,27 +128,29 @@ class CrystalGraph:
         return {v: k for k, v in enumerate(self.vertices)}
 
     @cached_property
-    def _out(self) -> dict[int, dict[int, int]]:
+    def _out(self) -> dict[int, MappingProxyType]:
         out: dict[int, dict[int, int]] = {}
         for u, v, i in self.edges:
             out.setdefault(u, {})[i] = v
-        return out
+        return {u: MappingProxyType(labels) for u, labels in out.items()}
 
     @cached_property
-    def _in(self) -> dict[int, dict[int, int]]:
+    def _in(self) -> dict[int, MappingProxyType]:
         into: dict[int, dict[int, int]] = {}
         for u, v, i in self.edges:
             into.setdefault(v, {})[i] = u
-        return into
+        return {v: MappingProxyType(labels) for v, labels in into.items()}
 
     def index_of(self, vertex) -> int:
         return self._index[vertex]
 
-    def out_edges(self, u: int) -> dict[int, int]:
-        return self._out.get(u, {})
+    def out_edges(self, u: int) -> MappingProxyType:
+        """Read-only map label -> target of the edges leaving u."""
+        return self._out.get(u, _NO_EDGES)
 
-    def in_edges(self, v: int) -> dict[int, int]:
-        return self._in.get(v, {})
+    def in_edges(self, v: int) -> MappingProxyType:
+        """Read-only map label -> origin of the edges entering v."""
+        return self._in.get(v, _NO_EDGES)
 
     def sources(self) -> list[int]:
         return [k for k in range(len(self.vertices)) if not self.in_edges(k)]
@@ -186,42 +201,69 @@ def connected_components(vertices, neighbours) -> list[set]:
     return components
 
 
-def _bfs_graph(start, operators: int, step, kind: str, max_entry: int) -> CrystalGraph:
-    """Closure of {start} under step(v, i) for labels 1..operators, BFS order."""
-    vertices = [start]
+def _lowering_positions(w: Word, max_entry: int) -> list[int]:
+    """Position f_i changes in w, indexed by i, or -1 where f_i(w) is None.
+
+    One left-to-right scan serves every i: open_count[a] counts the letters a
+    not yet closed by a later a-1, and a letter a either closes one of the
+    open a+1 or is the newest unpaired ')' for i = a. Entry max_entry is
+    not an operator and is never read.
+    """
+    open_count = [0] * (max_entry + 2)
+    last_close = [-1] * (max_entry + 1)
+    for pos, letter in enumerate(w):
+        if open_count[letter + 1]:
+            open_count[letter + 1] -= 1
+        else:
+            last_close[letter] = pos
+        open_count[letter] += 1
+    return last_close
+
+
+def _word_bfs(start: Word, max_entry: int) -> tuple[list[Word], tuple]:
+    """Closure of {start} under f_1..f_{max_entry-1}, in BFS order.
+
+    Children are visited by ascending label, so vertex k is the k-th word
+    discovered; edges are sorted (from, to, label) triples.
+    """
+    words = [start]
     index = {start: 0}
     edges = []
-    queue = [0]
-    while queue:
-        nxt = []
-        for u in queue:
-            for i in range(1, operators + 1):
-                v = step(vertices[u], i)
-                if v is None:
-                    continue
-                if v not in index:
-                    index[v] = len(vertices)
-                    vertices.append(v)
-                    nxt.append(index[v])
-                edges.append((u, index[v], i))
-        queue = nxt
+    labels = range(1, max_entry)
+    for u, w in enumerate(words):  # words grows while it is walked: a FIFO queue
+        last_close = _lowering_positions(w, max_entry)
+        for i in labels:
+            pos = last_close[i]
+            if pos < 0:
+                continue
+            v = w[:pos] + (i + 1,) + w[pos + 1:]
+            k = index.get(v)
+            if k is None:
+                k = index[v] = len(words)
+                words.append(v)
+            edges.append((u, k, i))
     edges.sort()
-    return CrystalGraph(tuple(vertices), tuple(edges), 0, max_entry, kind)
+    return words, tuple(edges)
 
 
 def generate_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
     """The connected crystal of tableaux of the shape with entries <= max_entry.
 
     Breadth-first closure of the highest-weight tableau under all lowering
-    operators. Empty when max_entry < len(shape), where no filling exists.
+    operators, run on reading words and cut back into rows at the end. Empty
+    when max_entry < len(shape), where no filling exists.
     """
     shape = check_partition(shape)
     if max_entry < 1:
         raise InvalidParameters("max_entry must be >= 1")
     if len(shape) > max_entry:
         return CrystalGraph((), (), None, max_entry, "tableau")
-    return _bfs_graph(highest_weight_tableau(shape), max_entry - 1,
-                      f_tableau, "tableau", max_entry)
+    words, edges = _word_bfs(reading_word(highest_weight_tableau(shape)), max_entry)
+    # the word lists the rows bottom first: row r is w[sum(shape[r+1:]):sum(shape[r:])]
+    ends = [sum(shape[r:]) for r in range(len(shape) + 1)]
+    rows = [slice(ends[r + 1], ends[r]) for r in range(len(shape))]
+    vertices = tuple(tuple(w[row] for row in rows) for w in words)
+    return CrystalGraph(vertices, edges, 0, max_entry, "tableau")
 
 
 def word_crystal_component(w: Word, max_entry: int) -> CrystalGraph:
@@ -243,4 +285,5 @@ def word_crystal_component(w: Word, max_entry: int) -> CrystalGraph:
                 current = up
                 raised = True
                 break
-    return _bfs_graph(current, max_entry - 1, f_word, "word", max_entry)
+    words, edges = _word_bfs(current, max_entry)
+    return CrystalGraph(tuple(words), edges, 0, max_entry, "word")

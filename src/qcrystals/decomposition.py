@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .crystal import CrystalGraph, connected_components, generate_crystal
+from .crystal import CrystalGraph, generate_crystal
 from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Partition, Tableau,
@@ -60,32 +60,48 @@ def decompose(G: CrystalGraph) -> list[Subcomponent]:
 
     Vertices are grouped by descent composition; each group is split into
     weakly connected components of the induced subgraph (connectivity per
-    group is a theorem, the split turns it into a checked invariant). Each
+    group is a theorem, the split turns it into a checked invariant). The
+    same-composition edges, found in one pass over G.edges, are both the
+    adjacency of that split and the internal edges of the classes. Each
     class must have exactly one internal source, otherwise InternalError.
     """
-    groups: dict[Composition, list[int]] = {}
-    for k, T in enumerate(G.vertices):
-        groups.setdefault(descent_composition(T), []).append(k)
-
-    def neighbours(u):
-        return (*G.out_edges(u).values(), *G.in_edges(u).values())
-
-    classes = [(alpha, component) for alpha, members in groups.items()
-               for component in connected_components(members, neighbours)]
-    class_of = [0] * len(G.vertices)
-    for k, (_, component) in enumerate(classes):
-        for v in component:
-            class_of[v] = k
-    internal: list[list] = [[] for _ in classes]
+    alpha_of = [descent_composition(T) for T in G.vertices]
+    adjacency: list[list[int]] = [[] for _ in alpha_of]
+    internal = []
     for edge in G.edges:
-        k = class_of[edge[0]]
-        if class_of[edge[1]] == k:
-            internal[k].append(edge)
+        u, v, _ = edge
+        if alpha_of[u] == alpha_of[v]:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            internal.append(edge)
+
+    class_of = [-1] * len(alpha_of)
+    members: list[list[int]] = []
+    for start in range(len(alpha_of)):
+        if class_of[start] >= 0:
+            continue
+        k = len(members)
+        class_of[start] = k
+        component = [start]
+        stack = [start]
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if class_of[v] < 0:
+                    class_of[v] = k
+                    component.append(v)
+                    stack.append(v)
+        members.append(component)
+
+    edges_of: list[list] = [[] for _ in members]
+    entered = [False] * len(alpha_of)
+    for edge in internal:
+        edges_of[class_of[edge[0]]].append(edge)
+        entered[edge[1]] = True
 
     subs = []
-    for (alpha, component), edges in zip(classes, internal):
-        incoming = {v for _, v, _ in edges}
-        sources = [u for u in component if u not in incoming]
+    for component, edges in zip(members, edges_of):
+        alpha = alpha_of[component[0]]
+        sources = [u for u in component if not entered[u]]
         if len(sources) != 1:
             raise InternalError(
                 f"descent class {alpha} has {len(sources)} sources")

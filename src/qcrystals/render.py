@@ -62,10 +62,19 @@ def crystal_from_json(text: str) -> CrystalGraph:
     kind = "tableau" if all(isinstance(v[0], tuple) for v in vertices if v) else "word"
     if not vertices:
         kind = "tableau"
+    edges = tuple((u, v, i) for u, v, i in data["edges"])
+    indices = range(len(vertices))
+    for u, v, i in edges:
+        if u not in indices or v not in indices:
+            raise InvalidParameters(
+                f"edge {[u, v, i]} does not join two of the {len(vertices)} vertices")
+    source = data["source"]
+    if source is not None and source not in indices:
+        raise InvalidParameters(f"source {source!r} is not a vertex index")
     return CrystalGraph(
         vertices=vertices,
-        edges=tuple((u, v, i) for u, v, i in data["edges"]),
-        source=data["source"],
+        edges=edges,
+        source=source,
         max_entry=data["max_entry"],
         kind=kind,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .crystal import connected_components, generate_crystal
 from .decomposition import decompose, subcomponent_sink
-from .errors import InternalError
+from .errors import InternalError, InvalidParameters
 from .rsk import evacuate
 from .tableaux import (
     Partition, Tableau,
@@ -275,7 +275,11 @@ def dual_equivalence_involution(T: Tableau, i: int) -> Tableau:
     if i-1 sits between, i and i+1 trade places.
     """
     pos = _reading_positions(T)
-    lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
+    try:
+        lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
+    except KeyError:
+        raise InvalidParameters(
+            f"d_{i} needs a standard tableau holding {i - 1}, {i} and {i + 1}") from None
     if min(lo, hi) < mid < max(lo, hi):
         return T
     if min(lo, mid) < hi < max(lo, mid):

@@ -146,6 +146,9 @@ def f_to_monomials(alpha: Composition, n: int) -> list[tuple[int, ...]]:
 
     if len(alpha) <= n:
         extend(0, 1)
+    # extend reaches itself through its closure cell; unlinking it frees the
+    # cells (and out with them) by reference counting, not by the cyclic GC
+    del extend
     return out
 
 

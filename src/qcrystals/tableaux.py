@@ -14,6 +14,7 @@ Cell coordinates are (row, column), 0-indexed internally.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from math import factorial
 
 from .errors import EmptyInput, InvalidParameters
@@ -68,6 +69,7 @@ def partitions_of(m: int, max_length: int | None = None) -> list[Partition]:
             prefix.pop()
 
     descend(m, m, [])
+    del descend  # break the self-reference through the closure cell, see enumerate_ssyt
     return out
 
 
@@ -87,6 +89,7 @@ def compositions_of(m: int) -> list[Composition]:
             prefix.pop()
 
     extend(m, [])
+    del extend  # break the self-reference through the closure cell, see enumerate_ssyt
     return out
 
 
@@ -216,7 +219,7 @@ def reading_word(T: Tableau) -> Word:
     """Concatenate rows bottom to top, each left to right."""
     if not T:
         raise EmptyInput("empty tableau")
-    return tuple(v for row in reversed(T) for v in row)
+    return tuple(chain.from_iterable(reversed(T)))
 
 
 def from_rows(rows) -> Tableau:
@@ -250,11 +253,23 @@ def standardize_tableau(T: Tableau) -> Tableau:
 def descent_composition(T: Tableau) -> Composition:
     """Type of the minimal parsing of T into maximal horizontal bands.
 
-    Computed through standardization: the band boundaries of T are exactly
-    the descents of its standardization.
+    The band boundaries of T are the descents of its standardization, read
+    off the reading word without building the standard tableau: a stable
+    sort of the positions by letter lists them by standard label, and k is
+    a descent when label k+1 comes before label k in the word.
     """
-    std = standardize_tableau(T)
-    return descent_set_to_composition(tableau_descent_set(std), tableau_size(T))
+    w = reading_word(T)
+    order = sorted(range(len(w)), key=w.__getitem__)
+    comp = []
+    run = 1
+    for k in range(1, len(order)):
+        if order[k] < order[k - 1]:
+            comp.append(run)
+            run = 1
+        else:
+            run += 1
+    comp.append(run)
+    return tuple(comp)
 
 
 @dataclass(frozen=True)
@@ -346,6 +361,9 @@ def enumerate_ssyt(shape: Partition, max_entry: int) -> list[Tableau]:
             rows[i].pop()
 
     fill(0, 0)
+    # fill reaches itself through its closure cell; unlinking it frees the
+    # cells (and out with them) by reference counting, not by the cyclic GC
+    del fill
     out.sort(key=reading_word)
     return out
 
@@ -368,6 +386,7 @@ def enumerate_syt(shape: Partition) -> list[Tableau]:
                 rows[i].pop()
 
     place(1)
+    del place  # break the self-reference through the closure cell, see enumerate_ssyt
     out.sort(key=reading_word)
     return out
 

@@ -73,6 +73,14 @@ class TestRender:
         assert H.edges == G.edges
         assert H.source == G.source and H.max_entry == G.max_entry
 
+    def test_crystal_json_rejects_bad_indices(self):
+        from qcrystals.errors import InvalidParameters
+        vertices = [[[1]], [[2]]]
+        for edges, source in [([[0, 7, 1]], 0), ([[-1, 1, 1]], 0), ([[0, 1, 1]], 2)]:
+            payload = {"vertices": vertices, "edges": edges, "source": source, "max_entry": 2}
+            with pytest.raises(InvalidParameters):
+                crystal_from_json(json.dumps(payload))
+
     def test_crystal_dot_parses(self):
         G = generate_crystal((2, 1), 3)
         nodes, edges = parse_dot(crystal_to_dot(G))
@@ -137,6 +145,12 @@ class TestCli:
     def test_schurify_domain_error_exit_1(self):
         code, _, err = run_cli(["schurify", "--input", "-"], stdin_text="F[1,2]")
         assert code == 1 and "error" in err
+
+    def test_schurify_missing_input_exit_1(self, tmp_path):
+        missing = tmp_path / "absent.txt"
+        code, out, err = run_cli(["schurify", "--input", str(missing)])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: cannot read")
 
     def test_parse_error_exit_2(self):
         code, _, _ = run_cli(["crystal", "--shape", "x,y", "--max-entry", "3"])

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -9,8 +10,8 @@ from qcrystals.crystal import (
 )
 from qcrystals.errors import InvalidParameters
 from qcrystals.tableaux import (
-    enumerate_ssyt, highest_weight_tableau, is_semistandard, reading_word,
-    shape_of, weight_of,
+    enumerate_ssyt, highest_weight_tableau, is_semistandard, partitions_of,
+    reading_word, shape_of, weight_of,
 )
 
 
@@ -19,6 +20,21 @@ def T(*rows):
 
 
 W = (1, 3, 3, 1, 2, 3, 3, 3, 1, 2, 2, 3, 3)
+
+
+def bfs_by_operator(start, max_entry, step):
+    """Slow oracle: BFS closure under step(v, i), one call per vertex and label."""
+    vertices, index, edges = [start], {start: 0}, []
+    for u, vertex in enumerate(vertices):
+        for i in range(1, max_entry):
+            v = step(vertex, i)
+            if v is None:
+                continue
+            if v not in index:
+                index[v] = len(vertices)
+                vertices.append(v)
+            edges.append((u, index[v], i))
+    return tuple(vertices), tuple(sorted(edges))
 
 
 class TestParenReduce:
@@ -214,6 +230,21 @@ class TestGenerateCrystal:
                 for k in range(len(G.vertices))] == before
         assert H != G and replace(H, edges=G.edges) == G
 
+    def test_matches_per_operator_bfs(self):
+        for m in range(1, 7):
+            for shape in partitions_of(m):
+                for n in range(len(shape), 7):
+                    G = generate_crystal(shape, n)
+                    expected = bfs_by_operator(highest_weight_tableau(shape), n, f_tableau)
+                    assert (G.vertices, G.edges) == expected, (shape, n)
+
+    def test_adjacency_views_are_read_only(self):
+        G = generate_crystal((2, 1), 3)
+        for view in (G.out_edges(0), G.in_edges(1), G.out_edges(len(G.vertices) - 1)):
+            with pytest.raises(TypeError):
+                view[1] = 0
+        assert dict(G.out_edges(0)) == {i: v for u, v, i in G.edges if u == 0}
+
     def test_full_invariant_domain(self):
         # generation laws over every shape of size <= 7, alphabet <= 5
         from qcrystals.verify import crystal_suite
@@ -236,6 +267,17 @@ class TestWordCrystal:
         C = word_crystal_component((1,), 1)
         assert C.vertices == ((1,),)
         assert C.edges == ()
+
+    def test_matches_per_operator_bfs(self):
+        words = [w for length in range(1, 6) for w in product((1, 2, 3), repeat=length)]
+        rng = random.Random(5)
+        words += [tuple(rng.randint(1, 5) for _ in range(6)) for _ in range(30)]
+        for w in words:
+            n = max(w)
+            C = word_crystal_component(w, n)
+            assert all(e_word(C.vertices[0], i) is None for i in range(1, n))
+            assert (C.vertices, C.edges) == bfs_by_operator(C.vertices[0], n, f_word), w
+            assert w in C.vertices
 
     def test_reachable_from_any_member(self):
         base = word_crystal_component((2, 1, 2), 3)

@@ -5,7 +5,7 @@ import pytest
 from qcrystals import skeleton
 from qcrystals.crystal import generate_crystal
 from qcrystals.decomposition import decompose
-from qcrystals.errors import InternalError
+from qcrystals.errors import InternalError, InvalidParameters
 from qcrystals.skeleton import (
     CHAINS, EVEN_CYCLES, OTHER, SINGLETONS,
     build_skeleton, check_dual_equivalence_conjecture, check_evac_duality,
@@ -134,6 +134,12 @@ class TestDualEquivalence:
 
     def test_one_row_no_edges(self):
         assert not dual_equivalence_graph((6,)).edges
+
+    def test_involution_index_out_of_range(self):
+        t = T([1, 2, 4], [3])
+        for i in (1, 4, 0):
+            with pytest.raises(InvalidParameters):
+                dual_equivalence_involution(t, i)
 
     def test_edge_census_of_43(self):
         g = dual_equivalence_graph((4, 3))

@@ -1,3 +1,4 @@
+import gc
 import random
 from math import comb
 
@@ -72,6 +73,15 @@ class TestFToMonomials:
 
     def test_count_232(self):
         assert len(f_to_monomials((2, 3, 2), 4)) == 8
+
+    def test_leaves_no_reference_cycles(self):
+        gc.disable()
+        try:
+            gc.collect()
+            f_to_monomials((2, 3, 2), 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_count_formula(self):
         for m in range(1, 7):

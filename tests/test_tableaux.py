@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from qcrystals.errors import EmptyInput, InvalidParameters
@@ -7,8 +9,8 @@ from qcrystals.tableaux import (
     hook_length_count, is_horizontal_band, is_semistandard, is_standard,
     minimal_parsing, partitions_of, reading_word, refines, shape_of,
     sources_of_type, standardize_tableau, standardize_word,
-    syt_descent_compositions, tableau_descent_set, weight_of,
-    word_descent_composition,
+    descent_set_to_composition, syt_descent_compositions,
+    tableau_descent_set, weight_of, word_descent_composition,
 )
 
 
@@ -189,6 +191,18 @@ class TestDescentComposition:
         t = T([1, 2, 5, 8], [3, 4, 7], [6], [9])
         assert tableau_descent_set(t) == (2, 5, 8)
 
+    def test_matches_standardization_route(self):
+        for m in range(1, 8):
+            for shape in partitions_of(m):
+                for t in enumerate_ssyt(shape, 5):
+                    slow = descent_set_to_composition(
+                        tableau_descent_set(standardize_tableau(t)), m)
+                    assert descent_composition(t) == slow, t
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput):
+            descent_composition(())
+
 
 class TestStandardizeTableau:
     def test_band_example(self):
@@ -231,6 +245,21 @@ class TestEnumeration:
         assert len(enumerate_syt((4, 3))) == 14
         assert len(enumerate_syt((5,))) == 1
         assert len(enumerate_syt((2, 1))) == 2
+
+    @pytest.mark.parametrize("fn, args", [
+        (enumerate_syt, ((4, 3, 2),)),
+        (enumerate_ssyt, ((3, 2), 4)),
+        (partitions_of, (7,)),
+        (compositions_of, (6,)),
+    ], ids=["enumerate_syt", "enumerate_ssyt", "partitions_of", "compositions_of"])
+    def test_leaves_no_reference_cycles(self, fn, args):
+        gc.disable()
+        try:
+            gc.collect()
+            fn(*args)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_syt_against_hook_oracle(self):
         for m in range(1, 8):
