@@ -139,10 +139,12 @@ def cmd_schurify(args, parser):
         text = sys.stdin.read()
     else:
         try:
-            with open(args.input) as handle:
+            with open(args.input, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise InvalidParameters(f"cannot read {args.input}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise InvalidParameters(f"cannot read {args.input}: {exc}") from None
     expansion = parse_f_expansion(text)
     print(format_schur_expansion(schurify(expansion)))
     return 0

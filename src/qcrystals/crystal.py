@@ -14,6 +14,10 @@ tableaux only when the returned CrystalGraph is built. paren_reduce and the
 per-i operators f_word, e_word, f_tableau and e_tableau apply the rule one
 letter at a time; they are kept as the independent slow oracle that the
 verify suites and the tests compare the generator against.
+
+A finished graph is walked by one routine, bfs_forest, a list-indexed
+breadth-first forest: CrystalGraph.depths, the descent-class split in
+decompose and the skeleton strata classifier all call it.
 """
 
 from dataclasses import dataclass
@@ -106,6 +110,32 @@ def e_tableau(T: Tableau, i: int) -> Tableau | None:
 # ---------------------------------------------------------------------------
 # graphs
 
+def bfs_forest(roots, adjacency) -> tuple[list[list[int]], list[int], list[int]]:
+    """Breadth-first forest of a graph given as adjacency lists over 0..n-1.
+
+    Each root not reached from an earlier one starts a tree; the trees come
+    in that order, each listing its vertices in discovery order with the root
+    first. parent[v] is v's tree parent (-1 at a root) and depth[v] its
+    distance from the root of its tree; both are -1 where no root reaches v.
+    """
+    parent = [-1] * len(adjacency)
+    depth = [-1] * len(adjacency)
+    trees = []
+    for root in roots:
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        tree = [root]
+        for u in tree:  # tree grows while it is walked: a FIFO queue
+            for v in adjacency[u]:
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    parent[v] = u
+                    tree.append(v)
+        trees.append(tree)
+    return trees, parent, depth
+
+
 @dataclass(frozen=True)
 class CrystalGraph:
     """Labelled oriented graph of a connected crystal.
@@ -159,46 +189,10 @@ class CrystalGraph:
         return [k for k in range(len(self.vertices)) if not self.out_edges(k)]
 
     def depths(self) -> list[int]:
-        """BFS distance of every vertex from the source."""
-        dist = [-1] * len(self.vertices)
-        if self.source is None:
-            return dist
-        dist[self.source] = 0
-        queue = [self.source]
-        while queue:
-            nxt = []
-            for u in queue:
-                for _, v in sorted(self.out_edges(u).items()):
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            queue = nxt
-        return dist
-
-
-def connected_components(vertices, neighbours) -> list[set]:
-    """Components of the undirected graph induced on vertices.
-
-    neighbours(u) lists the vertices adjacent to u in either direction; those
-    outside vertices are ignored. Components come in the order of their first
-    vertex in vertices.
-    """
-    members = set(vertices)
-    seen: set = set()
-    components = []
-    for start in vertices:
-        if start in seen:
-            continue
-        component = {start}
-        stack = [start]
-        while stack:
-            for v in neighbours(stack.pop()):
-                if v in members and v not in component:
-                    component.add(v)
-                    stack.append(v)
-        seen |= component
-        components.append(component)
-    return components
+        """BFS distance of every vertex from the source, -1 where unreached."""
+        roots = () if self.source is None else (self.source,)
+        out = [self.out_edges(u).values() for u in range(len(self.vertices))]
+        return bfs_forest(roots, out)[2]
 
 
 def _lowering_positions(w: Word, max_entry: int) -> list[int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
-from .crystal import CrystalGraph, generate_crystal
+from .crystal import CrystalGraph, bfs_forest, generate_crystal
 from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Partition, Tableau,
@@ -62,8 +62,9 @@ def decompose(G: CrystalGraph) -> list[Subcomponent]:
     weakly connected components of the induced subgraph (connectivity per
     group is a theorem, the split turns it into a checked invariant). The
     same-composition edges, found in one pass over G.edges, are both the
-    adjacency of that split and the internal edges of the classes. Each
-    class must have exactly one internal source, otherwise InternalError.
+    internal edges of the classes and the adjacency whose
+    crystal.bfs_forest trees are the classes. Each class must have exactly
+    one internal source, otherwise InternalError.
     """
     alpha_of = [descent_composition(T) for T in G.vertices]
     adjacency: list[list[int]] = [[] for _ in alpha_of]
@@ -75,22 +76,11 @@ def decompose(G: CrystalGraph) -> list[Subcomponent]:
             adjacency[v].append(u)
             internal.append(edge)
 
-    class_of = [-1] * len(alpha_of)
-    members: list[list[int]] = []
-    for start in range(len(alpha_of)):
-        if class_of[start] >= 0:
-            continue
-        k = len(members)
-        class_of[start] = k
-        component = [start]
-        stack = [start]
-        while stack:
-            for v in adjacency[stack.pop()]:
-                if class_of[v] < 0:
-                    class_of[v] = k
-                    component.append(v)
-                    stack.append(v)
-        members.append(component)
+    members = bfs_forest(range(len(alpha_of)), adjacency)[0]
+    class_of = [0] * len(alpha_of)
+    for k, component in enumerate(members):
+        for v in component:
+            class_of[v] = k
 
     edges_of: list[list] = [[] for _ in members]
     entered = [False] * len(alpha_of)

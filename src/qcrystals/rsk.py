@@ -37,6 +37,8 @@ def rsk(w: Word) -> RskPair:
     """Insertion and recording tableaux of w under Schensted row insertion."""
     if not w:
         raise EmptyInput("empty word")
+    if min(w) < 1:
+        raise EntryOutOfRange("letters must be at least 1")
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, x in enumerate(w, 1):

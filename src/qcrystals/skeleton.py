@@ -12,15 +12,15 @@ report type of the package: the verify suites return it too.
 
 from dataclasses import dataclass
 
-from .crystal import connected_components, generate_crystal
+from .crystal import bfs_forest, generate_crystal
 from .decomposition import decompose, subcomponent_sink
 from .errors import InternalError, InvalidParameters
 from .rsk import evacuate
 from .tableaux import (
     Partition, Tableau,
     check_partition, compositions_of, descent_composition, enumerate_syt,
-    reading_word, sources_of_type, standardize_tableau,
-    syt_descent_compositions,
+    is_standard, reading_word, sources_of_type, standardize_tableau,
+    syt_descent_compositions, tableau_size,
 )
 
 
@@ -112,106 +112,46 @@ EVEN_CYCLES = "EvenCyclesWithOptionalSourceSink"
 OTHER = "Other"
 
 
-def _undirected_adjacency(vertices, edges):
-    adj = {v: set() for v in vertices}
-    for (u, v) in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _is_even_cycle_union(tree, adj, parent, depth) -> bool:
+    """Every vertex on a cycle, all cycles even: bipartite and bridgeless.
+
+    tree is one bfs_forest tree of adj, with its parent and depth lists. An
+    edge joining two vertices of equal depth closes an odd cycle. A tree edge
+    is a bridge unless the tree path of some non-tree edge runs through it;
+    the walk from each non-tree edge up to its ends' common ancestor marks
+    those edges by their lower vertex. A bridgeless connected graph on two or
+    more vertices has every degree at least 2.
+    """
+    covered = set()
+    for u in tree:
+        for v in adj[u]:
+            if depth[u] == depth[v]:
+                return False
+            if u < v and parent[u] != v and parent[v] != u:
+                a, b = u, v
+                while a != b:
+                    if depth[a] < depth[b]:
+                        a, b = b, a
+                    covered.add(a)
+                    a = parent[a]
+    return len(tree) > 1 and len(covered) == len(tree) - 1
 
 
-def _is_simple_path(comp, adj) -> bool:
-    degrees = sorted(len(adj[v] & comp) for v in comp)
-    if len(comp) == 1:
-        return True
-    return (degrees.count(1) == 2 and all(d in (1, 2) for d in degrees)
-            and _connected_acyclic_edge_count(comp, adj))
-
-
-def _connected_acyclic_edge_count(comp, adj) -> bool:
-    edge_count = sum(len(adj[v] & comp) for v in comp) // 2
-    return edge_count == len(comp) - 1
-
-
-def _is_bipartite(comp, adj) -> bool:
-    color = {}
-    for start in comp:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u] & comp:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
-def _bridges(comp, adj):
-    """Bridges of the induced undirected simple graph, by DFS low-links."""
-    comp = set(comp)
-    visited = {}
-    low = {}
-    bridges = []
-    counter = [0]
-
-    def dfs(root):
-        stack = [(root, None, iter(sorted(adj[root] & comp)))]
-        visited[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in visited:
-                    visited[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append((v, u, iter(sorted(adj[v] & comp))))
-                    advanced = True
-                    break
-                elif v != parent:
-                    low[u] = min(low[u], visited[v])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] > visited[p]:
-                        bridges.append((p, u))
-        return
-
-    for v in comp:
-        if v not in visited:
-            dfs(v)
-    return bridges
-
-
-def _is_even_cycle_union(comp, adj) -> bool:
-    """Every vertex on a cycle, all cycles even: min degree 2, bipartite, bridgeless."""
-    if not comp:
-        return False
-    if any(len(adj[v] & comp) < 2 for v in comp):
-        return False
-    return _is_bipartite(comp, adj) and not _bridges(comp, adj)
-
-
-def _classify_component(comp, adj, in_deg, out_deg) -> str:
-    if len(comp) == 1:
+def _classify_component(tree, adj, parent, depth, through) -> str:
+    if len(tree) == 1:
         return SINGLETONS
-    if _is_simple_path(comp, adj):
+    degrees = [len(adj[v]) for v in tree]
+    if degrees.count(1) == 2 and max(degrees) <= 2:  # a simple path
         return CHAINS
-    if _is_even_cycle_union(comp, adj):
+    if _is_even_cycle_union(tree, adj, parent, depth):
         return EVEN_CYCLES
-    removable = {v for v in comp if in_deg[v] == 0 or out_deg[v] == 0}
-    rest = comp - removable
-    if rest and removable:
-        pieces = connected_components(rest, adj.__getitem__)
-        if all(_is_even_cycle_union(p, adj) for p in pieces) \
-                and len(removable) <= 2 * len(pieces):
+    rest = [v for v in tree if v in through]
+    if rest and len(rest) < len(tree):
+        keep = set(rest)
+        sub = [neighbours & keep for neighbours in adj]
+        pieces, parent, depth = bfs_forest(rest, sub)
+        if len(tree) - len(rest) <= 2 * len(pieces) and all(
+                _is_even_cycle_union(p, sub, parent, depth) for p in pieces):
             return EVEN_CYCLES
     return OTHER
 
@@ -220,18 +160,26 @@ def classify_subgraph(vertices, edges) -> str:
     """One of Singletons / Chains / EvenCyclesWithOptionalSourceSink / Other.
 
     Orientation is ignored for path and cycle detection but decides which
-    vertices count as attached sources and sinks of a cycle union.
+    vertices count as attached sources and sinks of a cycle union. The
+    vertices are mapped to indices once; the components are the trees of
+    one crystal.bfs_forest, whose parents and depths also serve the
+    bipartite and bridge tests.
     """
     if not vertices:
         return SINGLETONS
-    adj = _undirected_adjacency(vertices, edges)
-    in_deg = {v: 0 for v in vertices}
-    out_deg = {v: 0 for v in vertices}
+    index = {v: k for k, v in enumerate(vertices)}
+    adj = [set() for _ in vertices]
+    has_out, has_in = set(), set()
     for (u, v) in edges:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    kinds = {_classify_component(comp, adj, in_deg, out_deg)
-             for comp in connected_components(adj, adj.__getitem__)}
+        a, b = index[u], index[v]
+        adj[a].add(b)
+        adj[b].add(a)
+        has_out.add(a)
+        has_in.add(b)
+    through = has_in & has_out  # neither a source nor a sink
+    trees, parent, depth = bfs_forest(range(len(vertices)), adj)
+    kinds = {_classify_component(tree, adj, parent, depth, through)
+             for tree in trees}
     if kinds <= {SINGLETONS}:
         return SINGLETONS
     if kinds <= {SINGLETONS, CHAINS}:
@@ -258,13 +206,20 @@ class DualEquivalenceGraph:
         return pairs
 
 
-def _reading_positions(T: Tableau) -> dict[int, int]:
-    return {v: pos for pos, v in enumerate(reading_word(T))}
-
-
 def _swap_values(T: Tableau, a: int, b: int) -> Tableau:
     sub = {a: b, b: a}
     return tuple(tuple(sub.get(v, v) for v in row) for row in T)
+
+
+def _involution(T: Tableau, i: int) -> Tableau:
+    """d_i on a standard tableau known to hold i-1, i and i+1."""
+    pos = {v: p for p, v in enumerate(reading_word(T))}
+    lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
+    if min(lo, hi) < mid < max(lo, hi):
+        return T
+    if min(lo, mid) < hi < max(lo, mid):
+        return _swap_values(T, i, i - 1)
+    return _swap_values(T, i, i + 1)
 
 
 def dual_equivalence_involution(T: Tableau, i: int) -> Tableau:
@@ -272,19 +227,13 @@ def dual_equivalence_involution(T: Tableau, i: int) -> Tableau:
 
     Looking at the reading-word positions of i-1, i, i+1: if i sits between
     the other two, T is fixed; if i+1 sits between, i and i-1 trade places;
-    if i-1 sits between, i and i+1 trade places.
+    if i-1 sits between, i and i+1 trade places. InvalidParameters unless T
+    is standard and 1 < i < size.
     """
-    pos = _reading_positions(T)
-    try:
-        lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
-    except KeyError:
+    if not is_standard(T) or not 1 < i < tableau_size(T):
         raise InvalidParameters(
-            f"d_{i} needs a standard tableau holding {i - 1}, {i} and {i + 1}") from None
-    if min(lo, hi) < mid < max(lo, hi):
-        return T
-    if min(lo, mid) < hi < max(lo, mid):
-        return _swap_values(T, i, i - 1)
-    return _swap_values(T, i, i + 1)
+            f"d_{i} needs a standard tableau holding {i - 1}, {i} and {i + 1}")
+    return _involution(T, i)
 
 
 def dual_equivalence_graph(shape: Partition) -> DualEquivalenceGraph:
@@ -295,7 +244,7 @@ def dual_equivalence_graph(shape: Partition) -> DualEquivalenceGraph:
     edges = set()
     for T in vertices:
         for i in range(2, m):
-            other = dual_equivalence_involution(T, i)
+            other = _involution(T, i)  # enumerate_syt gives standard tableaux
             if other != T:
                 a, b = sorted((T, other))
                 edges.add((a, b, i))

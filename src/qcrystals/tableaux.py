@@ -17,7 +17,7 @@ from functools import cache
 from itertools import chain
 from math import factorial
 
-from .errors import EmptyInput, InvalidParameters
+from .errors import EmptyInput, EntryOutOfRange, InvalidParameters
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -196,10 +196,15 @@ def is_standard(T) -> bool:
 
 
 def weight_of(T: Tableau, n: int | None = None) -> tuple[int, ...]:
-    """Entry counts of T as a length-n vector (n defaults to the max entry)."""
+    """Entry counts of T as a length-n vector (n defaults to the max entry).
+
+    EntryOutOfRange if an entry lies outside 1..n.
+    """
     entries = [v for row in T for v in row]
     if n is None:
-        n = max(entries) if entries else 0
+        n = max(entries, default=0)
+    if entries and not 1 <= min(entries) <= max(entries) <= n:
+        raise EntryOutOfRange(f"entries must lie in 1..{n}")
     counts = [0] * n
     for v in entries:
         counts[v - 1] += 1

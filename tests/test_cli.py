@@ -152,6 +152,14 @@ class TestCli:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: cannot read")
 
+    def test_schurify_non_utf8_input_exit_1(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00F[1]")
+        code, out, err = run_cli(["schurify", "--input", str(path)])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot read {path}: ")
+
     def test_parse_error_exit_2(self):
         code, _, _ = run_cli(["crystal", "--shape", "x,y", "--max-entry", "3"])
         assert code == 2
@@ -179,6 +187,12 @@ class TestCli:
         code, out, _ = run_cli(["rsk", "--word", "321"])
         assert code == 0
         assert json.loads(out) == {"P": [[1], [2], [3]], "Q": [[1], [2], [3]]}
+
+    def test_rsk_letter_below_one_exit_1(self):
+        for word in ("0", "102", "1,-2"):
+            code, out, err = run_cli(["rsk", "--word", word])
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_decompose_json(self):
         code, out, _ = run_cli(["decompose", "--shape", "2,1", "--max-entry", "3",

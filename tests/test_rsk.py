@@ -46,6 +46,11 @@ class TestRsk:
         with pytest.raises(EmptyInput):
             rsk(())
 
+    def test_letters_below_one_rejected(self):
+        for w in [(0,), (2, 1, 0), (1, -3)]:
+            with pytest.raises(EntryOutOfRange):
+                rsk(w)
+
     def test_recording_descents_match_word(self):
         rng = random.Random(2)
         for _ in range(200):

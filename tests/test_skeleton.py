@@ -141,6 +141,12 @@ class TestDualEquivalence:
             with pytest.raises(InvalidParameters):
                 dual_equivalence_involution(t, i)
 
+    def test_involution_rejects_non_standard(self):
+        # each holds 1, 2 and 3 without being standard
+        for t in (T([1, 2], [2, 3]), T([1, 3], [2, 4], [5, 5]), T([2, 1], [3, 4])):
+            with pytest.raises(InvalidParameters):
+                dual_equivalence_involution(t, 2)
+
     def test_edge_census_of_43(self):
         g = dual_equivalence_graph((4, 3))
         assert len(g.edges) == 25

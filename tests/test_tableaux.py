@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from qcrystals.errors import EmptyInput, InvalidParameters
+from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidParameters
 from qcrystals.tableaux import (
     band_cells, bands_mergeable, compositions_of, descent_composition,
     destandardize, enumerate_ssyt, enumerate_syt, highest_weight_tableau,
@@ -305,3 +305,15 @@ class TestSourcesOfType:
         for t, comp in zip(enumerate_syt((3, 2)), syt_descent_compositions((3, 2))):
             filled = destandardize(t, comp)
             assert standardize_tableau(filled) == t
+
+
+class TestWeightOf:
+    def test_counts(self):
+        assert weight_of(((1, 1, 2), (2, 3)), 4) == (2, 2, 1, 0)
+        assert weight_of(((1, 3),)) == (1, 0, 1)
+        assert weight_of((), 2) == (0, 0)
+
+    def test_entries_outside_alphabet_rejected(self):
+        for T, n in [(((1, 3),), 2), (((0,),), 2), (((0, 1),), None), (((-1,),), 3)]:
+            with pytest.raises(EntryOutOfRange):
+                weight_of(T, n)
