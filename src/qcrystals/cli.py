@@ -5,7 +5,9 @@ count {ssyt,bm,kostka,plethysm-monomials}, check, evac, rsk.
 
 Exit codes: 0 success, 1 domain error, 2 usage or parse error. Standard
 output is byte-identical across identical invocations; wall times go to
-stderr.
+stderr. crystal, decompose and skeleton refuse, with exit 1, a crystal of
+more than MAX_VERTICES tableaux before building it; the count comes from
+the hook-content formula, which lists no tableau.
 """
 
 import argparse
@@ -25,13 +27,17 @@ from .render import (
 )
 from .rsk import evacuate, rsk
 from .skeleton import (
-    build_skeleton, dual_equivalence_graph, skeleton_stable,
+    build_skeleton, dual_equivalence_graph, max_descent_composition_length,
+    skeleton_stable,
 )
 from .symfunc import (
     format_schur_expansion, parse_f_expansion, plethysm_monomial_count, schurify,
 )
-from .tableaux import check_partition, max_entry
+from .tableaux import check_partition, hook_content_count, max_entry
 from . import verify
+
+# largest crystal, in vertices, that crystal, decompose and skeleton build
+MAX_VERTICES = 1_000_000
 
 
 def _parse_ints(text: str, parser: argparse.ArgumentParser, what: str):
@@ -64,6 +70,14 @@ def _parse_tableau(text, parser):
         parser.error(f"cannot parse tableau: {exc}")
 
 
+def _check_crystal_size(shape, n):
+    count = hook_content_count(shape, n)
+    if count > MAX_VERTICES:
+        raise InvalidParameters(
+            f"the crystal of shape {','.join(map(str, shape))} with entries <= {n} "
+            f"has {count} vertices, more than the limit of {MAX_VERTICES}")
+
+
 def _emit_crystal(G, fmt, subs=None):
     if fmt == "dot":
         sys.stdout.write(crystal_to_dot(G, subs))
@@ -79,6 +93,7 @@ def _emit_crystal(G, fmt, subs=None):
 
 def cmd_crystal(args, parser):
     shape = _parse_shape(args.shape, parser)
+    _check_crystal_size(shape, args.max_entry)
     G = generate_crystal(shape, args.max_entry)
     subs = decompose(G) if args.decompose else None
     _emit_crystal(G, args.format, subs)
@@ -87,6 +102,7 @@ def cmd_crystal(args, parser):
 
 def cmd_decompose(args, parser):
     shape = _parse_shape(args.shape, parser)
+    _check_crystal_size(shape, args.max_entry)
     G = generate_crystal(shape, args.max_entry)
     subs = decompose(G)
     if args.format == "json":
@@ -109,8 +125,11 @@ def cmd_decompose(args, parser):
 def cmd_skeleton(args, parser):
     shape = _parse_shape(args.shape, parser)
     if args.max_entry is None:
+        # skeleton_stable also builds at the bound + 1 to check stability
+        _check_crystal_size(shape, max_descent_composition_length(shape) + 1)
         skel = skeleton_stable(shape)
     else:
+        _check_crystal_size(shape, args.max_entry)
         skel = build_skeleton(shape, args.max_entry)
     if args.format == "dot":
         sys.stdout.write(skeleton_to_dot(skel))

@@ -9,8 +9,10 @@ leftmost surviving '('. A null action is returned as None, never an error.
 Crystals are generated on reading words, which are in bijection with the
 tableaux of a fixed shape. One left-to-right scan of a word finds, for every
 i at once, the position f_i changes (_lowering_positions), and a single word
-BFS serves generate_crystal and word_crystal_component; words become
-tableaux only when the returned CrystalGraph is built. paren_reduce and the
+BFS serves crystal_words, generate_crystal and word_crystal_component;
+words become tableaux only when the returned CrystalGraph is built, and
+crystal_words hands them out as they are, for callers that never need the
+tableaux (skeleton.build_skeleton). paren_reduce and the
 per-i operators f_word, e_word, f_tableau and e_tableau apply the rule one
 letter at a time; they are kept as the independent slow oracle that the
 verify suites and the tests compare the generator against.
@@ -27,8 +29,8 @@ from types import MappingProxyType
 from .errors import InvalidParameters
 from .tableaux import (
     Partition, Tableau, Word,
-    check_partition, highest_weight_tableau, reading_cells, reading_word,
-    shape_of,
+    check_partition, highest_weight_tableau, reading_cells, reading_rows,
+    reading_word, shape_of,
 )
 
 _NO_EDGES = MappingProxyType({})
@@ -240,22 +242,33 @@ def _word_bfs(start: Word, max_entry: int) -> tuple[list[Word], tuple]:
     return words, tuple(edges)
 
 
-def generate_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
-    """The connected crystal of tableaux of the shape with entries <= max_entry.
+def crystal_words(shape: Partition, max_entry: int) -> tuple[list[Word], tuple]:
+    """Reading words and sorted edges of the crystal on the shape, in BFS order.
 
-    Breadth-first closure of the highest-weight tableau under all lowering
-    operators, run on reading words and cut back into rows at the end. Empty
-    when max_entry < len(shape), where no filling exists.
+    The word-level form of generate_crystal: vertex k is the reading word of
+    its k-th tableau and the edges are the same triples. Empty when
+    max_entry < len(shape), where no filling exists.
     """
     shape = check_partition(shape)
     if max_entry < 1:
         raise InvalidParameters("max_entry must be >= 1")
     if len(shape) > max_entry:
+        return [], ()
+    return _word_bfs(reading_word(highest_weight_tableau(shape)), max_entry)
+
+
+def generate_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
+    """The connected crystal of tableaux of the shape with entries <= max_entry.
+
+    Breadth-first closure of the highest-weight tableau under all lowering
+    operators, run on reading words (crystal_words) and cut back into rows
+    at the end. Empty when max_entry < len(shape), where no filling exists.
+    """
+    shape = check_partition(shape)
+    words, edges = crystal_words(shape, max_entry)
+    if not words:
         return CrystalGraph((), (), None, max_entry, "tableau")
-    words, edges = _word_bfs(reading_word(highest_weight_tableau(shape)), max_entry)
-    # the word lists the rows bottom first: row r is w[sum(shape[r+1:]):sum(shape[r:])]
-    ends = [sum(shape[r:]) for r in range(len(shape) + 1)]
-    rows = [slice(ends[r + 1], ends[r]) for r in range(len(shape))]
+    rows = reading_rows(shape)
     vertices = tuple(tuple(w[row] for row in rows) for w in words)
     return CrystalGraph(vertices, edges, 0, max_entry, "tableau")
 

@@ -1,11 +1,18 @@
 """Decomposition of a crystal into descent classes, and exact counting.
 
 Grouping the vertices of a connected tableau crystal by descent composition
-partitions it into connected induced subgraphs, one per standard tableau of
-the shape. Each class has a unique source (the band filling of its standard
-tableau), a unique sink (the source with entries shifted by n-s), and the
-oriented-graph structure of a one-row crystal on a smaller alphabet; those
-structural facts power the counting formulas at the bottom of this module.
+partitions it into connected induced subgraphs, one per standard tableau Q
+of the shape, matching s_lambda = sum_Q F_Des(Q). Each class is the
+standardization fibre {T : std(T) = Q}, and an edge T -i-> f_i(T) stays
+inside its class iff no i+1 comes before the last i of the reading word of
+T (the edge rule): then f_i turns the last i into an i+1 and the
+standardization is unchanged; otherwise it changes. descent_classes splits
+a crystal given on reading words by this rule alone, and descent
+compositions are computed only at the class sources. Each class has a
+unique source (the band filling of its standard tableau), a unique sink
+(the source with entries shifted by n-s), and the oriented-graph structure
+of a one-row crystal on a smaller alphabet; those structural facts power
+the counting formulas at the bottom of this module.
 """
 
 from dataclasses import dataclass
@@ -17,7 +24,8 @@ from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Partition, Tableau,
     check_composition, check_partition, composition_to_descent_set,
-    descent_composition, refines, syt_descent_compositions, weight_of,
+    descent_composition, reading_word, refines, syt_descent_compositions,
+    weight_of,
 )
 
 
@@ -55,48 +63,67 @@ class QuasicrystalClass:
         return count_bm(self.m, self.n - self.s + 1)
 
 
-def decompose(G: CrystalGraph) -> list[Subcomponent]:
-    """Split G into its descent classes.
+def descent_classes(words, edges) -> tuple[list[list[int]], list[int], list, list[int]]:
+    """Split a crystal given on reading words into its descent classes.
 
-    Vertices are grouped by descent composition; each group is split into
-    weakly connected components of the induced subgraph (connectivity per
-    group is a theorem, the split turns it into a checked invariant). The
-    same-composition edges, found in one pass over G.edges, are both the
-    internal edges of the classes and the adjacency whose
-    crystal.bfs_forest trees are the classes. Each class must have exactly
-    one internal source, otherwise InternalError.
+    words[u] is the reading word of vertex u and edges are (u, v, i) crystal
+    edges. An edge is internal iff no i+1 comes before the last i of
+    words[u] (the edge rule of the module docstring). Returns (trees,
+    class_of, internal, sources): the crystal.bfs_forest trees of the
+    internal edges, which are the classes, ordered by their lowest vertex
+    index with that vertex first; the index of each vertex's class; the
+    internal edges in the given order; and the one source of each class.
+    InternalError, naming the class with the lowest vertex index, unless
+    every class has exactly one source.
     """
-    alpha_of = [descent_composition(T) for T in G.vertices]
-    adjacency: list[list[int]] = [[] for _ in alpha_of]
+    adjacency: list[list[int]] = [[] for _ in words]
+    entered = [False] * len(words)
     internal = []
-    for edge in G.edges:
-        u, v, _ = edge
-        if alpha_of[u] == alpha_of[v]:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-            internal.append(edge)
+    for edge in edges:
+        u, v, i = edge
+        w = words[u]
+        if i + 1 in w and i in w[w.index(i + 1):]:
+            continue
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+        entered[v] = True
+        internal.append(edge)
 
-    members = bfs_forest(range(len(alpha_of)), adjacency)[0]
-    class_of = [0] * len(alpha_of)
-    for k, component in enumerate(members):
-        for v in component:
+    trees = bfs_forest(range(len(words)), adjacency)[0]
+    class_of = [0] * len(words)
+    sources = []
+    for k, tree in enumerate(trees):
+        for v in tree:
             class_of[v] = k
+        roots = [u for u in tree if not entered[u]]
+        if len(roots) != 1:
+            # a word is the reading word of the one-row tableau (w,)
+            alpha = descent_composition((words[tree[0]],))
+            raise InternalError(f"descent class {alpha} has {len(roots)} sources")
+        sources.append(roots[0])
+    return trees, class_of, internal, sources
 
-    edges_of: list[list] = [[] for _ in members]
-    entered = [False] * len(alpha_of)
+
+def decompose(G: CrystalGraph) -> list[Subcomponent]:
+    """Split G into its descent classes, sorted by source index.
+
+    The classes are the standardization fibres, split off by
+    descent_classes with the edge rule: an edge u -i-> v is internal iff no
+    i+1 comes before the last i of u's reading word. By the theorem above
+    this equals grouping the vertices by descent composition and splitting
+    each group into weakly connected components, the slow oracle kept in
+    the tests. descent_composition is computed once per class, at its
+    source. InternalError unless each class has exactly one source.
+    """
+    vertices = G.vertices
+    trees, class_of, internal, sources = descent_classes(
+        [reading_word(T) for T in vertices], G.edges)
+    edges_of: list[list] = [[] for _ in trees]
     for edge in internal:
         edges_of[class_of[edge[0]]].append(edge)
-        entered[edge[1]] = True
-
-    subs = []
-    for component, edges in zip(members, edges_of):
-        alpha = alpha_of[component[0]]
-        sources = [u for u in component if not entered[u]]
-        if len(sources) != 1:
-            raise InternalError(
-                f"descent class {alpha} has {len(sources)} sources")
-        subs.append(Subcomponent(alpha, G.vertices[sources[0]], sources[0],
-                                 frozenset(component), tuple(edges)))
+    subs = [Subcomponent(descent_composition(vertices[s]), vertices[s], s,
+                         frozenset(tree), tuple(edges))
+            for tree, edges, s in zip(trees, edges_of, sources)]
     subs.sort(key=lambda s: s.source_index)
     return subs
 

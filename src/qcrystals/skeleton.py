@@ -12,15 +12,15 @@ report type of the package: the verify suites return it too.
 
 from dataclasses import dataclass
 
-from .crystal import bfs_forest, generate_crystal
-from .decomposition import decompose, subcomponent_sink
+from .crystal import bfs_forest, crystal_words, generate_crystal
+from .decomposition import decompose, descent_classes, subcomponent_sink
 from .errors import InternalError, InvalidParameters
 from .rsk import evacuate
 from .tableaux import (
     Partition, Tableau,
     check_partition, compositions_of, descent_composition, enumerate_syt,
-    is_standard, reading_word, sources_of_type, standardize_tableau,
-    syt_descent_compositions, tableau_size,
+    is_standard, reading_rows, reading_word, sources_of_type,
+    standardize_word, syt_descent_compositions, tableau_size,
 )
 
 
@@ -49,8 +49,16 @@ class SkeletonGraph:
 
 
 def max_descent_composition_length(shape: Partition) -> int:
-    """The stability bound: the longest descent composition on the shape."""
-    return max(len(comp) for comp in syt_descent_compositions(shape))
+    """The stability bound: the longest descent composition on the shape.
+
+    That is |shape| - shape[0] + 1, with no tableau listed. Transposing a
+    standard tableau turns its descents into the non-descents, and a
+    standard tableau of the transposed shape needs a descent to enter each
+    of its shape[0] rows after the first, at least shape[0] - 1 in all; the
+    row-by-row filling has exactly that many.
+    """
+    shape = check_partition(shape)
+    return sum(shape) - shape[0] + 1
 
 
 def build_skeleton(shape: Partition, max_entry: int) -> SkeletonGraph:
@@ -58,22 +66,29 @@ def build_skeleton(shape: Partition, max_entry: int) -> SkeletonGraph:
 
     Vertices are the standard tableaux whose descent composition fits in the
     alphabet; a crystal edge crossing between classes is recorded against the
-    pair of their standard tableaux, keeping the minimal label.
+    pair of their standard tableaux, keeping the minimal label. The crystal
+    stays on reading words (crystal.crystal_words) and is split by
+    decomposition.descent_classes with the edge rule; since each class is a
+    standardization fibre, its standard tableau is the standardized reading
+    word of its source, cut into rows. No tableau vertex, CrystalGraph or
+    Subcomponent is built, and the edges are walked in the crystal's sorted
+    order.
     """
     shape = check_partition(shape)
-    G = generate_crystal(shape, max_entry)
-    subs = decompose(G)
-    class_of: dict[int, int] = {}
-    for k, sub in enumerate(subs):
-        for v in sub.vertex_indices:
-            class_of[v] = k
-    std_of = [standardize_tableau(sub.source) for sub in subs]
+    words, crystal_edges = crystal_words(shape, max_entry)
+    _, class_of, _, sources = descent_classes(words, crystal_edges)
+    rows = reading_rows(shape)
+    std_of = []
+    for s in sources:
+        std = standardize_word(words[s])
+        std_of.append(tuple(std[row] for row in rows))
 
     edges: dict[tuple[Tableau, Tableau], int] = {}
-    for u, v, i in G.edges:
-        if class_of[u] == class_of[v]:
+    for u, v, i in crystal_edges:
+        a, b = class_of[u], class_of[v]
+        if a == b:
             continue
-        key = (std_of[class_of[u]], std_of[class_of[v]])
+        key = (std_of[a], std_of[b])
         if key not in edges or i < edges[key]:
             edges[key] = i
     vertices = tuple(T for T, comp in zip(enumerate_syt(shape),

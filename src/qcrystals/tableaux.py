@@ -15,7 +15,7 @@ Cell coordinates are (row, column), 0-indexed internally.
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from math import factorial
+from math import factorial, prod
 
 from .errors import EmptyInput, EntryOutOfRange, InvalidParameters
 
@@ -227,6 +227,17 @@ def reading_word(T: Tableau) -> Word:
     return tuple(chain.from_iterable(reversed(T)))
 
 
+def reading_rows(shape: Partition) -> list[slice]:
+    """Slices of a reading word holding each row of the shape, top row first.
+
+    The word lists the rows bottom first, so row r is
+    w[sum(shape[r+1:]):sum(shape[r:])] and tuple(w[s] for s in
+    reading_rows(shape)) is the tableau whose reading word is w.
+    """
+    ends = [sum(shape[r:]) for r in range(len(shape) + 1)]
+    return [slice(ends[r + 1], ends[r]) for r in range(len(shape))]
+
+
 def from_rows(rows) -> Tableau:
     return tuple(tuple(int(v) for v in row) for row in rows)
 
@@ -246,13 +257,8 @@ def tableau_descent_set(T: Tableau) -> tuple[int, ...]:
 
 def standardize_tableau(T: Tableau) -> Tableau:
     """Standard tableau obtained by standardizing the reading word of T in place."""
-    w = reading_word(T)
-    std = standardize_word(w)
-    cells = reading_cells(shape_of(T))
-    grid = [[0] * len(row) for row in T]
-    for label, (i, j) in zip(std, cells):
-        grid[i][j] = label
-    return from_rows(grid)
+    std = standardize_word(reading_word(T))
+    return tuple(std[row] for row in reading_rows(shape_of(T)))
 
 
 def descent_composition(T: Tableau) -> Composition:
@@ -405,6 +411,20 @@ def hook_length_count(shape: Partition) -> int:
         for j in range(r):
             product *= (r - j) + (conjugate[j] - i) - 1
     return factorial(sum(shape)) // product
+
+
+def hook_content_count(shape: Partition, n: int) -> int:
+    """Number of tableaux of the shape with entries <= n (hook-content formula).
+
+    The product over cells (r, c) of (n + c - r) / hook(r, c), that is the
+    hook-length count times the product of the n + c - r over |shape|!;
+    O(cells) integer steps, no tableau listed, 0 when n < len(shape).
+    """
+    shape = check_partition(shape)
+    if n < len(shape):
+        return 0
+    contents = prod(n + c - r for r, length in enumerate(shape) for c in range(length))
+    return hook_length_count(shape) * contents // factorial(sum(shape))
 
 
 @cache

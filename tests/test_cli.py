@@ -1,10 +1,16 @@
 import io
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from qcrystals import cli
 from qcrystals.cli import main
 from qcrystals.crystal import generate_crystal
 from qcrystals.decomposition import decompose
@@ -12,7 +18,10 @@ from qcrystals.render import (
     composition_color, crystal_from_json, crystal_to_dot, crystal_to_json,
     skeleton_to_dot, tableau_from_json, tableau_to_json,
 )
-from qcrystals.skeleton import skeleton_stable
+from qcrystals.skeleton import max_descent_composition_length, skeleton_stable
+from qcrystals.tableaux import hook_content_count
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 NODE_RE = re.compile(r'^\s*(\w+)\s*\[label="(.*)"(?:, style=filled, '
                      r'fillcolor="(#[0-9a-f]{6})")?\];$')
@@ -243,3 +252,52 @@ class TestCli:
     def test_deterministic_output(self):
         argv = ["crystal", "--shape", "3,2", "--max-entry", "3", "--format", "dot"]
         assert run_cli(argv)[1] == run_cli(argv)[1]
+
+
+def _bounded_child():
+    # at most 512 MB of address space, so a missed guard fails instead of
+    # filling the machine's memory
+    limit = 512 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("argv", [
+        ["crystal", "--shape", "6,5,4", "--max-entry", "12"],
+        ["decompose", "--shape", "6,5,4", "--max-entry", "12", "--format", "json"],
+        ["skeleton", "--shape", "6,5,4"],
+        ["skeleton", "--shape", "6,5,4", "--max-entry", "12"],
+        # 55,099,278 standard tableaux: the bound S must not list them
+        ["skeleton", "--shape", "8,6,4,2"],
+    ], ids=["crystal", "decompose", "skeleton", "skeleton-max-entry",
+            "skeleton-many-standard-tableaux"])
+    def test_huge_crystal_is_refused_before_building(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run([sys.executable, "-m", "qcrystals.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=_bounded_child)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "more than the limit of 1000000" in lines[0]
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # the crystal of shape 3,2 over 1..3 has 15 vertices
+        argv = ["crystal", "--shape", "3,2", "--max-entry", "3"]
+        monkeypatch.setattr(cli, "MAX_VERTICES", 15)
+        assert run_cli(argv)[:2] == (0, "15 vertices, 18 edges\n")
+        monkeypatch.setattr(cli, "MAX_VERTICES", 14)
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: the crystal of shape 3,2 with entries <= 3 has 15 "
+                       "vertices, more than the limit of 14\n")
+
+    def test_stable_skeleton_is_sized_at_the_bound_plus_one(self, monkeypatch):
+        S = max_descent_composition_length((3, 2, 1))
+        monkeypatch.setattr(cli, "MAX_VERTICES", hook_content_count((3, 2, 1), S))
+        assert run_cli(["skeleton", "--shape", "3,2,1", "--max-entry", str(S)])[0] == 0
+        code, _, err = run_cli(["skeleton", "--shape", "3,2,1"])
+        assert code == 1 and f"entries <= {S + 1}" in err

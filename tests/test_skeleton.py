@@ -14,7 +14,7 @@ from qcrystals.skeleton import (
     induced_by_descent_count, max_descent_composition_length, skeleton_stable,
 )
 from qcrystals.tableaux import (
-    descent_composition, enumerate_syt, partitions_of,
+    descent_composition, enumerate_syt, partitions_of, syt_descent_compositions,
 )
 
 
@@ -55,6 +55,14 @@ class TestSkeletonStable:
     def test_bound_of_43(self):
         skel = skeleton_stable((4, 3))
         assert skel.stable_bound == 4 == max_descent_composition_length((4, 3))
+
+    def test_bound_is_the_longest_descent_composition(self):
+        for m in range(1, 9):
+            for shape in partitions_of(m):
+                longest = max(len(c) for c in syt_descent_compositions(shape))
+                assert max_descent_composition_length(shape) == longest
+        with pytest.raises(InvalidParameters):
+            max_descent_composition_length((2, 3))
 
     def test_column_shape_single_vertex(self):
         skel = skeleton_stable((1, 1, 1, 1))

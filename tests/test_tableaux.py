@@ -6,9 +6,10 @@ from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidParameters
 from qcrystals.tableaux import (
     band_cells, bands_mergeable, compositions_of, descent_composition,
     destandardize, enumerate_ssyt, enumerate_syt, highest_weight_tableau,
-    hook_length_count, is_horizontal_band, is_semistandard, is_standard,
-    minimal_parsing, partitions_of, reading_word, refines, shape_of,
-    sources_of_type, standardize_tableau, standardize_word,
+    hook_content_count, hook_length_count, is_horizontal_band,
+    is_semistandard, is_standard, minimal_parsing, partitions_of,
+    reading_rows, reading_word, refines, shape_of, sources_of_type,
+    standardize_tableau, standardize_word,
     descent_set_to_composition, syt_descent_compositions,
     tableau_descent_set, weight_of, word_descent_composition,
 )
@@ -113,6 +114,12 @@ class TestReadingWord:
 
     def test_single_column(self):
         assert reading_word(T([1], [2], [3])) == (3, 2, 1)
+
+    def test_rows_cut_the_word_back_into_the_tableau(self):
+        for shape in [(1,), (3,), (1, 1, 1), (4, 2, 1), (3, 3, 2)]:
+            for t in enumerate_ssyt(shape, 4):
+                w = reading_word(t)
+                assert tuple(w[row] for row in reading_rows(shape)) == t
 
 
 class TestMinimalParsing:
@@ -260,6 +267,14 @@ class TestEnumeration:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_ssyt_against_hook_content_formula(self):
+        for m in range(1, 7):
+            for shape in partitions_of(m):
+                for n in range(0, 7):
+                    assert hook_content_count(shape, n) == (
+                        len(enumerate_ssyt(shape, n)) if n >= 1 else 0)
+        assert hook_content_count((6, 5, 4), 12) == 1265384120
 
     def test_syt_against_hook_oracle(self):
         for m in range(1, 8):
