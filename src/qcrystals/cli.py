@@ -5,19 +5,21 @@ count {ssyt,bm,kostka,plethysm-monomials}, check, evac, rsk.
 
 Exit codes: 0 success, 1 domain error, 2 usage or parse error. Standard
 output is byte-identical across identical invocations; wall times go to
-stderr. crystal, decompose and skeleton refuse, with exit 1, a crystal of
-more than MAX_VERTICES tableaux before building it; the count comes from
-the hook-content formula, which lists no tableau.
+stderr. crystal and decompose refuse, with exit 1, a crystal of more than
+MAX_VERTICES tableaux before building it, counted by the hook-content
+formula; skeleton refuses a skeleton of more than MAX_VERTICES standard
+tableaux, counted by the hook-length formula or, under --max-entry n, as
+the standard tableaux with at most n-1 descents in the descent census.
+Neither count lists a tableau.
 """
 
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .crystal import generate_crystal
 from .decomposition import (
-    count_bm, count_ssyt_formula, decompose, kostka,
+    count_bm, count_ssyt_formula, decompose, descent_count_census, kostka,
 )
 from .errors import InvalidParameters, QCrystalsError
 from .render import (
@@ -26,17 +28,14 @@ from .render import (
     tableau_from_json, tableau_to_json,
 )
 from .rsk import evacuate, rsk
-from .skeleton import (
-    build_skeleton, dual_equivalence_graph, max_descent_composition_length,
-    skeleton_stable,
-)
+from .skeleton import build_skeleton, dual_equivalence_graph, skeleton_stable
 from .symfunc import (
     format_schur_expansion, parse_f_expansion, plethysm_monomial_count, schurify,
 )
-from .tableaux import check_partition, hook_content_count, max_entry
+from .tableaux import check_partition, hook_content_count, hook_length_count, max_entry
 from . import verify
 
-# largest crystal, in vertices, that crystal, decompose and skeleton build
+# largest graph, in vertices, that crystal, decompose and skeleton build
 MAX_VERTICES = 1_000_000
 
 
@@ -70,12 +69,15 @@ def _parse_tableau(text, parser):
         parser.error(f"cannot parse tableau: {exc}")
 
 
-def _check_crystal_size(shape, n):
-    count = hook_content_count(shape, n)
+def _check_size(count, what):
     if count > MAX_VERTICES:
         raise InvalidParameters(
-            f"the crystal of shape {','.join(map(str, shape))} with entries <= {n} "
-            f"has {count} vertices, more than the limit of {MAX_VERTICES}")
+            f"{what} has {count} vertices, more than the limit of {MAX_VERTICES}")
+
+
+def _check_crystal_size(shape, n):
+    _check_size(hook_content_count(shape, n),
+                f"the crystal of shape {','.join(map(str, shape))} with entries <= {n}")
 
 
 def _emit_crystal(G, fmt, subs=None):
@@ -124,12 +126,15 @@ def cmd_decompose(args, parser):
 
 def cmd_skeleton(args, parser):
     shape = _parse_shape(args.shape, parser)
+    what = f"the skeleton of shape {','.join(map(str, shape))}"
     if args.max_entry is None:
-        # skeleton_stable also builds at the bound + 1 to check stability
-        _check_crystal_size(shape, max_descent_composition_length(shape) + 1)
+        _check_size(hook_length_count(shape), what)
         skel = skeleton_stable(shape)
     else:
-        _check_crystal_size(shape, args.max_entry)
+        # its vertices: the standard tableaux with at most max_entry - 1 descents
+        _check_size(sum(count for d, count in descent_count_census(shape).items()
+                        if d < args.max_entry),
+                    f"{what} with entries <= {args.max_entry}")
         skel = build_skeleton(shape, args.max_entry)
     if args.format == "dot":
         sys.stdout.write(skeleton_to_dot(skel))
@@ -223,6 +228,8 @@ def cmd_check(args, parser):
         if which in ("conjectures", "all") else []
 
     if args.parallel:
+        # imported here: multiprocessing costs every other command 1.8 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
             theorem_out = list(pool.map(_theorem_job, theorem_jobs))
             conjecture_out = list(pool.map(_conjecture_job, conjecture_jobs))

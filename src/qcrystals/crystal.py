@@ -8,13 +8,15 @@ leftmost surviving '('. A null action is returned as None, never an error.
 
 Crystals are generated on reading words, which are in bijection with the
 tableaux of a fixed shape. One left-to-right scan of a word finds, for every
-i at once, the position f_i changes (_lowering_positions), and a single word
-BFS serves crystal_words, generate_crystal and word_crystal_component;
-words become tableaux only when the returned CrystalGraph is built, and
-crystal_words hands them out as they are, for callers that never need the
-tableaux (skeleton.build_skeleton). paren_reduce and the
-per-i operators f_word, e_word, f_tableau and e_tableau apply the rule one
-letter at a time; they are kept as the independent slow oracle that the
+i at once, the position f_i changes (lowering_positions), and one
+right-to-left scan does the same for e_i (raising_positions); the skeleton
+takes single steps from band fillings with both. A single word BFS serves
+crystal_words, generate_crystal and word_crystal_component; words become
+tableaux only when the returned CrystalGraph is built, and crystal_words
+hands them out as they are, for callers that never need the tableaux (the
+crystal-route skeleton oracle of verify.skeleton_suite). paren_reduce and
+the per-i operators f_word, e_word, f_tableau and e_tableau apply the rule
+one letter at a time; they are kept as the independent slow oracle that the
 verify suites and the tests compare the generator against.
 
 A finished graph is walked by one routine, bfs_forest, a list-indexed
@@ -197,7 +199,7 @@ class CrystalGraph:
         return bfs_forest(roots, out)[2]
 
 
-def _lowering_positions(w: Word, max_entry: int) -> list[int]:
+def lowering_positions(w: Word, max_entry: int) -> list[int]:
     """Position f_i changes in w, indexed by i, or -1 where f_i(w) is None.
 
     One left-to-right scan serves every i: open_count[a] counts the letters a
@@ -216,6 +218,27 @@ def _lowering_positions(w: Word, max_entry: int) -> list[int]:
     return last_close
 
 
+def raising_positions(w: Word, max_entry: int) -> list[int]:
+    """Position e_i changes in w, indexed by i, or -1 where e_i(w) is None.
+
+    The mirror of lowering_positions, scanning right to left: close_count[a]
+    counts the letters a met so far that no a+1 before them has paired, and
+    a letter a either pairs with one of the a-1 counted, as the '(' of
+    i = a-1, or is the leftmost unpaired '(' met so far. Entry 0 is not an
+    operator and is never read.
+    """
+    close_count = [0] * (max_entry + 1)
+    first_open = [-1] * max_entry
+    for pos in range(len(w) - 1, -1, -1):
+        letter = w[pos]
+        if close_count[letter - 1]:
+            close_count[letter - 1] -= 1
+        else:
+            first_open[letter - 1] = pos
+        close_count[letter] += 1
+    return first_open
+
+
 def _word_bfs(start: Word, max_entry: int) -> tuple[list[Word], tuple]:
     """Closure of {start} under f_1..f_{max_entry-1}, in BFS order.
 
@@ -227,7 +250,7 @@ def _word_bfs(start: Word, max_entry: int) -> tuple[list[Word], tuple]:
     edges = []
     labels = range(1, max_entry)
     for u, w in enumerate(words):  # words grows while it is walked: a FIFO queue
-        last_close = _lowering_positions(w, max_entry)
+        last_close = lowering_positions(w, max_entry)
         for i in labels:
             pos = last_close[i]
             if pos < 0:

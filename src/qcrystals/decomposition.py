@@ -24,8 +24,8 @@ from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Partition, Tableau,
     check_composition, check_partition, composition_to_descent_set,
-    descent_composition, reading_word, refines, syt_descent_compositions,
-    weight_of,
+    descent_composition, hook_content_count, reading_word, refines,
+    syt_descent_compositions, weight_of,
 )
 
 
@@ -249,14 +249,27 @@ def count_bm(m: int, k: int) -> int:
 
 @cache
 def _descent_count_census(shape: Partition) -> tuple[tuple[int, int], ...]:
-    census: dict[int, int] = {}
-    for comp in syt_descent_compositions(shape):
-        census[len(comp) - 1] = census.get(len(comp) - 1, 0) + 1
-    return tuple(sorted(census.items()))
+    m = sum(shape)
+    census = []
+    for d in range(m):
+        # count(shape, d+1) = sum over j <= d of c_j C(m+d-j, m), and c_d's
+        # coefficient is C(m, m) = 1
+        c = hook_content_count(shape, d + 1) - sum(
+            count * comb(m + d - j, m) for j, count in census)
+        if c:
+            census.append((d, c))
+    return tuple(census)
 
 
 def descent_count_census(shape: Partition) -> dict[int, int]:
-    """How many standard tableaux of the shape have each number of descents."""
+    """How many standard tableaux of the shape have each number of descents.
+
+    No tableau is listed: count_ssyt_formula's sum, taken at n = 1..|shape|,
+    is a unit lower-triangular system in the counts c_d, whose left side is
+    the hook-content count. So c_d = hook_content_count(shape, d+1) minus
+    the sum over j < d of c_j C(m+d-j, m), with m = |shape|. Only the d with
+    c_d > 0 are keys.
+    """
     return dict(_descent_count_census(check_partition(shape)))
 
 
@@ -265,7 +278,11 @@ def count_ssyt_formula(shape: Partition, n: int) -> int:
 
     Sums, over the number of descents d, the number of standard tableaux
     with d descents times the size of the one-row crystal each of their
-    classes is isomorphic to; terms with n-d-1 < 0 vanish.
+    classes is isomorphic to; terms with n-d-1 < 0 vanish. The census comes
+    from the hook-content formula (descent_count_census), so the count is
+    exact at any n without listing a tableau; verify.counting_suite checks
+    it against brute-force enumeration and the census against the standard
+    tableaux.
     """
     shape = check_partition(shape)
     m = sum(shape)

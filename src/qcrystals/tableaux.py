@@ -158,7 +158,7 @@ def standardize_word(w: Word) -> Word:
     """
     if not w:
         raise EmptyInput("empty word")
-    order = sorted(range(len(w)), key=lambda j: (w[j], j))
+    order = sorted(range(len(w)), key=w.__getitem__)  # stable: ties by position
     std = [0] * len(w)
     for label, j in enumerate(order, 1):
         std[j] = label
@@ -381,22 +381,40 @@ def enumerate_ssyt(shape: Partition, max_entry: int) -> list[Tableau]:
 
 def enumerate_syt(shape: Partition) -> list[Tableau]:
     """All standard tableaux of the shape, sorted by reading word."""
+    return enumerate_syt_by_parts(shape, sum(check_partition(shape)))
+
+
+def enumerate_syt_by_parts(shape: Partition, max_parts: int) -> list[Tableau]:
+    """Standard tableaux whose descent composition has at most max_parts parts.
+
+    Sorted by reading word, like enumerate_syt. Entries are placed in
+    increasing order, and k-1 is a descent iff k goes to a lower row than
+    k-1; so the fill counts parts as it goes and cuts a branch as soon as it
+    needs one part more than max_parts, without listing the tableaux beyond.
+    """
     shape = check_partition(shape)
     m = sum(shape)
     rows = [[] for _ in shape]
     out = []
 
-    def place(k):
+    def place(k, last_row, parts):
         if k > m:
             out.append(tuple(tuple(r) for r in rows))
             return
         for i in range(len(shape)):
-            if len(rows[i]) < shape[i] and (i == 0 or len(rows[i - 1]) > len(rows[i])):
-                rows[i].append(k)
-                place(k + 1)
-                rows[i].pop()
+            row = rows[i]
+            if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                if i > last_row:
+                    if parts == max_parts:
+                        break  # every later row is lower too
+                    row.append(k)
+                    place(k + 1, i, parts + 1)
+                else:
+                    row.append(k)
+                    place(k + 1, i, parts)
+                row.pop()
 
-    place(1)
+    place(1, -1, 0)  # entry 1 starts the first part
     del place  # break the self-reference through the closure cell, see enumerate_ssyt
     out.sort(key=reading_word)
     return out

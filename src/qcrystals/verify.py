@@ -14,13 +14,14 @@ from math import comb
 
 from . import skeleton, symfunc
 from .crystal import (
-    e_tableau, e_word, f_tableau, f_word, generate_crystal,
+    crystal_words, e_tableau, e_word, f_tableau, f_word, generate_crystal,
     word_crystal_component,
 )
 from .decomposition import (
-    count_bm, count_ssyt_formula, decompose, kostka,
-    subcomponent_longest_path, subcomponent_sink, verify_subcomponent_iso,
-    weight_matching_bijection, weight_multiplicity_in_subcomponent,
+    count_bm, count_ssyt_formula, decompose, descent_classes,
+    descent_count_census, kostka, subcomponent_longest_path, subcomponent_sink,
+    verify_subcomponent_iso, weight_matching_bijection,
+    weight_multiplicity_in_subcomponent,
 )
 from .rsk import (
     evacuate, jdt_rectify, rot_word, rsk, rsk_inverse,
@@ -39,8 +40,8 @@ from .tableaux import (
     band_cells, bands_mergeable, compositions_of, descent_composition,
     enumerate_ssyt, enumerate_syt, hook_length_count, is_horizontal_band,
     is_semistandard, is_standard, minimal_parsing, partitions_of,
-    reading_word, refines, shape_of, sources_of_type, standardize_tableau,
-    standardize_word, syt_descent_compositions, weight_of,
+    reading_rows, reading_word, refines, shape_of, sources_of_type,
+    standardize_tableau, standardize_word, syt_descent_compositions, weight_of,
     word_descent_composition,
 )
 
@@ -245,6 +246,11 @@ def counting_suite(max_size: int = 7, alphabet: int = 6) -> Report:
         for n in range(1, alphabet + 1):
             if count_ssyt_formula(shape, n) != len(enumerate_ssyt(shape, n)):
                 failures.append(("count formula vs brute force", shape, n))
+        tally: dict = {}
+        for comp in syt_descent_compositions(shape):
+            tally[len(comp) - 1] = tally.get(len(comp) - 1, 0) + 1
+        if descent_count_census(shape) != tally:
+            failures.append(("descent census vs standard tableaux", shape))
     for m in range(1, max_size + 1):
         for k in range(1, alphabet + 1):
             if count_bm(m, k) != len(enumerate_ssyt((m,), k)):
@@ -415,28 +421,64 @@ def evacuation_suite(max_size: int = 5, alphabet: int = 4) -> Report:
                    failures, started=started)
 
 
+def _skeleton_by_crystal(shape, n):
+    """Vertices and edges of the skeleton through the crystal (slow oracle).
+
+    Builds the whole crystal on reading words, splits it into descent classes
+    with the edge rule and keeps, per ordered pair of classes, the crossing
+    edge of least label. Each class's standard tableau is its source's
+    standardized reading word cut into rows, and the vertices are those
+    tableaux in reading-word order.
+    """
+    words, crystal_edges = crystal_words(shape, n)
+    _, class_of, _, sources = descent_classes(words, crystal_edges)
+    rows = reading_rows(shape)
+    std_of = [tuple(std[row] for row in rows)
+              for std in (standardize_word(words[s]) for s in sources)]
+    edges = {}
+    for u, v, i in crystal_edges:
+        a, b = class_of[u], class_of[v]
+        if a != b:
+            key = (std_of[a], std_of[b])
+            if key not in edges or i < edges[key]:
+                edges[key] = i
+    return tuple(sorted(std_of, key=reading_word)), edges
+
+
 def skeleton_suite(max_size: int = 6) -> Report:
-    """Stability at the bound, restriction below it, descent-count steps."""
+    """The local rule against the crystal route; stability, restriction, steps.
+
+    At every alphabet n in 1..S+2, build_skeleton must equal the skeleton
+    built through the whole crystal, vertices, edges and labels. The crystal
+    route alone must then show the two facts the local rule rests on: at
+    S+1 and S+2 it gives the skeleton it gives at S, and below S that
+    skeleton induced on the tableaux with at most n parts.
+    """
     started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         S = max_descent_composition_length(shape)
-        stable = build_skeleton(shape, S)
+        route = {n: _skeleton_by_crystal(shape, n) for n in range(1, S + 3)}
+        for n, (vertices, edges) in route.items():
+            local = build_skeleton(shape, n)
+            if local.vertices != vertices or local.edges != edges:
+                failures.append(("local rule vs crystal route", shape, n))
+        stable_vertices, stable_edges = route[S]
         for n in (S + 1, S + 2):
-            if build_skeleton(shape, n) != stable:
+            if route[n] != route[S]:
                 failures.append(("not stable", shape, n))
         for n in range(1, S):
-            small = build_skeleton(shape, n)
-            keep = set(small.vertices)
-            induced = {pair: label for pair, label in stable.edges.items()
+            vertices, edges = route[n]
+            keep = set(vertices)
+            induced = {pair: label for pair, label in stable_edges.items()
                        if pair[0] in keep and pair[1] in keep}
-            if small.edges != induced:
+            if edges != induced:
                 failures.append(("restriction mismatch", shape, n))
-            expected_vertices = {T for T in stable.vertices
+            expected_vertices = {T for T in stable_vertices
                                  if len(descent_composition(T)) <= n}
             if keep != expected_vertices:
                 failures.append(("restricted vertex set", shape, n))
-        for (u, v) in stable.edges:
+        for (u, v) in stable_edges:
             du = len(descent_composition(u))
             dv = len(descent_composition(v))
             if abs(du - dv) > 1:

@@ -18,8 +18,7 @@ from qcrystals.render import (
     composition_color, crystal_from_json, crystal_to_dot, crystal_to_json,
     skeleton_to_dot, tableau_from_json, tableau_to_json,
 )
-from qcrystals.skeleton import max_descent_composition_length, skeleton_stable
-from qcrystals.tableaux import hook_content_count
+from qcrystals.skeleton import skeleton_stable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -261,23 +260,28 @@ def _bounded_child():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _run_bounded_child(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-m", "qcrystals.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_bounded_child)
+
+
 class TestSizeGuard:
     @pytest.mark.parametrize("argv", [
         ["crystal", "--shape", "6,5,4", "--max-entry", "12"],
         ["decompose", "--shape", "6,5,4", "--max-entry", "12", "--format", "json"],
-        ["skeleton", "--shape", "6,5,4"],
-        ["skeleton", "--shape", "6,5,4", "--max-entry", "12"],
+        # 1,662,804 standard tableaux, 1,629,420 of them with at most 11 descents
+        ["skeleton", "--shape", "5,5,5,5"],
+        ["skeleton", "--shape", "5,5,5,5", "--max-entry", "12"],
         # 55,099,278 standard tableaux: the bound S must not list them
         ["skeleton", "--shape", "8,6,4,2"],
     ], ids=["crystal", "decompose", "skeleton", "skeleton-max-entry",
             "skeleton-many-standard-tableaux"])
     def test_huge_crystal_is_refused_before_building(self, argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-        proc = subprocess.run([sys.executable, "-m", "qcrystals.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60,
-                              preexec_fn=_bounded_child)
+        proc = _run_bounded_child(argv)
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -295,9 +299,35 @@ class TestSizeGuard:
         assert err == ("error: the crystal of shape 3,2 with entries <= 3 has 15 "
                        "vertices, more than the limit of 14\n")
 
-    def test_stable_skeleton_is_sized_at_the_bound_plus_one(self, monkeypatch):
-        S = max_descent_composition_length((3, 2, 1))
-        monkeypatch.setattr(cli, "MAX_VERTICES", hook_content_count((3, 2, 1), S))
-        assert run_cli(["skeleton", "--shape", "3,2,1", "--max-entry", str(S)])[0] == 0
-        code, _, err = run_cli(["skeleton", "--shape", "3,2,1"])
-        assert code == 1 and f"entries <= {S + 1}" in err
+    def test_skeleton_guard_counts_standard_tableaux(self, monkeypatch):
+        # 3,2,1 has 16 standard tableaux, 8 with 2 descents and 8 with 3; its
+        # crystal at the bound S = 4 has 64 tableaux
+        monkeypatch.setattr(cli, "MAX_VERTICES", 16)
+        assert run_cli(["skeleton", "--shape", "3,2,1"])[:2] == (
+            0, "16 vertices, 26 edges, stable bound 4\n")
+        assert run_cli(["skeleton", "--shape", "3,2,1", "--max-entry", "9"])[0] == 0
+        monkeypatch.setattr(cli, "MAX_VERTICES", 15)
+        code, out, err = run_cli(["skeleton", "--shape", "3,2,1"])
+        assert (code, out) == (1, "")
+        assert err == ("error: the skeleton of shape 3,2,1 has 16 vertices, "
+                       "more than the limit of 15\n")
+        monkeypatch.setattr(cli, "MAX_VERTICES", 8)
+        assert run_cli(["skeleton", "--shape", "3,2,1", "--max-entry", "3"])[:2] == (
+            0, "8 vertices, 8 edges, stable bound 4\n")
+        monkeypatch.setattr(cli, "MAX_VERTICES", 7)
+        code, _, err = run_cli(["skeleton", "--shape", "3,2,1", "--max-entry", "3"])
+        assert code == 1
+        assert err == ("error: the skeleton of shape 3,2,1 with entries <= 3 has 8 "
+                       "vertices, more than the limit of 7\n")
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["count", "ssyt", "--shape", "5,5,5,5", "--max-entry", "4"], "1\n"),
+        (["skeleton", "--shape", "5,5,5,5", "--max-entry", "4"],
+         "1 vertices, 0 edges, stable bound 16\n"),
+        (["skeleton", "--shape", "4,4,3,1"], "2970 vertices, 12158 edges, stable bound 9\n"),
+    ], ids=["count-ssyt", "skeleton-max-entry", "skeleton-stable"])
+    def test_many_standard_tableaux_need_not_be_listed(self, argv, stdout):
+        # 5,5,5,5 has 1,662,804 standard tableaux and one tableau with entries
+        # <= 4; the crystal of 4,4,3,1 at its bound 9 has 1,764,180 vertices
+        proc = _run_bounded_child(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from qcrystals.crystal import (
-    e_tableau, e_word, f_tableau, f_word, generate_crystal, paren_reduce,
-    word_crystal_component,
+    e_tableau, e_word, f_tableau, f_word, generate_crystal, lowering_positions,
+    paren_reduce, raising_positions, word_crystal_component,
 )
 from qcrystals.errors import InvalidParameters
 from qcrystals.tableaux import (
@@ -113,6 +113,21 @@ class TestWordOperators:
                 up = e_word(w, i)
                 if up is not None:
                     assert f_word(up, i) == w
+
+    def test_position_scans_match_the_operators(self):
+        # every word of length <= 5 over 1..4: one scan per direction finds
+        # the letter each f_i and e_i changes
+        for length in range(1, 6):
+            for w in product(range(1, 5), repeat=length):
+                down, up = lowering_positions(w, 4), raising_positions(w, 4)
+                for i in range(1, 4):
+                    for pos, word_op, letter in ((down[i], f_word, i + 1),
+                                                 (up[i], e_word, i)):
+                        image = word_op(w, i)
+                        if image is None:
+                            assert pos == -1
+                        else:
+                            assert image == w[:pos] + (letter,) + w[pos + 1:]
 
 
 class TestTableauOperators:

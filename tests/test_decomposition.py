@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from qcrystals import decomposition
 from qcrystals.crystal import CrystalGraph, generate_crystal
 from qcrystals.decomposition import (
     QuasicrystalClass, canonical_quasicrystal,
@@ -13,7 +14,8 @@ from qcrystals.decomposition import (
 from qcrystals.errors import InternalError, InvalidParameters
 from qcrystals.tableaux import (
     descent_composition, enumerate_ssyt, highest_weight_tableau,
-    partitions_of, syt_descent_compositions, weight_of,
+    hook_content_count, hook_length_count, partitions_of,
+    syt_descent_compositions, weight_of,
 )
 
 
@@ -161,6 +163,23 @@ class TestCountFormula:
 
     def test_descent_census_43(self):
         assert descent_count_census((4, 3)) == {1: 2, 2: 8, 3: 4}
+
+    def test_census_by_inversion_matches_the_standard_tableaux(self):
+        for m in range(1, 10):
+            for shape in partitions_of(m):
+                tally = Counter(len(c) - 1 for c in syt_descent_compositions(shape))
+                assert descent_count_census(shape) == tally
+
+    def test_census_lists_no_tableau(self, monkeypatch):
+        def refuse(shape):
+            raise AssertionError("standard tableaux listed")
+
+        monkeypatch.setattr(decomposition, "syt_descent_compositions", refuse)
+        census = descent_count_census((8, 6, 4, 2))
+        assert sum(census.values()) == hook_length_count((8, 6, 4, 2)) == 55099278
+        assert min(census) == 3 and max(census) == 12
+        assert count_ssyt_formula((5, 5, 5, 5), 4) == 1
+        assert count_ssyt_formula((5, 5, 5, 5), 5) == hook_content_count((5, 5, 5, 5), 5)
 
     def test_zero_below_length(self):
         assert count_ssyt_formula((2, 1, 1), 2) == 0

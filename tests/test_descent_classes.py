@@ -1,16 +1,19 @@
-"""decompose and build_skeleton against the composition-grouping oracle.
+"""decompose and build_skeleton against slow oracles.
 
-decompose and build_skeleton split crystals with the standardization edge
-rule (decomposition.descent_classes). The slow oracle here does what the
-package did before: it computes every vertex's descent composition, groups
-the vertices by it and splits each group into weakly connected components;
-the skeleton oracle then collapses those classes through
-standardize_tableau. Both sides must agree exactly, edge order included.
+decompose splits crystals with the standardization edge rule
+(decomposition.descent_classes). The slow oracle here does what the package
+did before: it computes every vertex's descent composition, groups the
+vertices by it and splits each group into weakly connected components;
+decompose must agree with it exactly, edge order included. build_skeleton
+builds no crystal: it takes single f_i and e_i steps from band fillings. It
+must equal, vertices, edges and labels, both the skeleton that collapses the
+oracle's classes through standardize_tableau and the crystal route of
+verify.skeleton_suite.
 """
 
 import pytest
 
-from qcrystals import decomposition, skeleton, tableaux
+from qcrystals import decomposition, skeleton, tableaux, verify
 from qcrystals.crystal import crystal_words, generate_crystal
 from qcrystals.decomposition import Subcomponent, decompose, descent_classes
 from qcrystals.errors import InternalError, InvalidParameters
@@ -95,7 +98,18 @@ def test_build_skeleton_equals_composition_grouping(shape):
         skel = build_skeleton(shape, n)
         vertices, edges = skeleton_by_composition(shape, n)
         assert skel.vertices == vertices
-        assert list(skel.edges.items()) == list(edges.items())
+        assert skel.edges == edges
+
+
+@pytest.mark.parametrize("shape", [s for m in range(1, 9) for s in partitions_of(m)],
+                         ids=str)
+def test_build_skeleton_equals_the_crystal_route(shape):
+    S = max_descent_composition_length(shape)
+    for n in range(1, S + 3):
+        skel = build_skeleton(shape, n)
+        assert (skel.vertices, skel.edges) == verify._skeleton_by_crystal(shape, n)
+    stable = skeleton_stable(shape)
+    assert (stable.vertices, stable.edges) == verify._skeleton_by_crystal(shape, S + 1)
 
 
 def test_classes_are_standardization_fibres():
@@ -144,7 +158,6 @@ def _count_descent_compositions(monkeypatch):
 
 @pytest.mark.parametrize("shape, n", [((4, 2, 1), 5), ((3, 3), 4), ((2, 2, 1), 6), ((5,), 4)])
 def test_descent_composition_at_most_once_per_class(monkeypatch, shape, n):
-    syt_descent_compositions(shape)  # the cached table build_skeleton reads
     G = generate_crystal(shape, n)
     calls = _count_descent_compositions(monkeypatch)
     subs = decompose(G)
@@ -154,7 +167,7 @@ def test_descent_composition_at_most_once_per_class(monkeypatch, shape, n):
     assert len(calls) <= len(subs)
 
 
-def test_skeleton_stable_still_builds_at_the_bound_plus_one(monkeypatch):
+def test_skeleton_stable_builds_once_at_the_bound(monkeypatch):
     built = []
     build = skeleton.build_skeleton
 
@@ -163,9 +176,8 @@ def test_skeleton_stable_still_builds_at_the_bound_plus_one(monkeypatch):
         return build(shape, n)
 
     monkeypatch.setattr(skeleton, "build_skeleton", recording)
-    S = max_descent_composition_length((3, 2, 1))
     skeleton_stable((3, 2, 1))
-    assert built == [S, S + 1]
+    assert built == [max_descent_composition_length((3, 2, 1))]
 
 
 def test_build_skeleton_keeps_the_input_checks():

@@ -2,10 +2,10 @@ from collections import Counter
 
 import pytest
 
-from qcrystals import skeleton
+from qcrystals import skeleton, verify
 from qcrystals.crystal import generate_crystal
 from qcrystals.decomposition import decompose
-from qcrystals.errors import InternalError, InvalidParameters
+from qcrystals.errors import InvalidParameters
 from qcrystals.skeleton import (
     CHAINS, EVEN_CYCLES, OTHER, SINGLETONS,
     build_skeleton, check_dual_equivalence_conjecture, check_evac_duality,
@@ -80,12 +80,15 @@ class TestSkeletonStable:
         assert classify_subgraph(v2, e2) == EVEN_CYCLES
         assert classify_subgraph(v3, e3) == CHAINS
 
-    def test_unstable_skeleton_is_an_internal_error(self, monkeypatch):
-        build = skeleton.build_skeleton
-        monkeypatch.setattr(skeleton, "build_skeleton",
-                            lambda shape, n: build(shape, n - 1))
-        with pytest.raises(InternalError, match="not stable"):
-            skeleton_stable((3, 2))
+    @pytest.mark.parametrize("operator", ["lowering_positions", "raising_positions"])
+    def test_the_suite_catches_a_broken_local_rule(self, monkeypatch, operator):
+        assert verify.skeleton_suite(5).passed
+        # drop every f_i step, or every e_i step, of the local rule
+        monkeypatch.setattr(skeleton, operator, lambda w, n: [-1] * (n + 1))
+        failures = dict(verify.skeleton_suite(5).details)["failures"]
+        assert ("local rule vs crystal route", (2, 2), 3) in failures
+        # the crystal route itself still shows stability and restriction
+        assert {f[0] for f in failures} == {"local rule vs crystal route"}
 
     def test_restriction_below_bound(self):
         stable = skeleton_stable((3, 2))
@@ -117,6 +120,15 @@ class TestClassification:
         verts = ("a", "b", "c")
         edges = {("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1}
         assert classify_subgraph(verts, edges) == OTHER
+
+    def test_one_pass_strata_equal_the_induced_subgraphs(self):
+        for m in range(1, 9):
+            for shape in partitions_of(m):
+                skel = skeleton_stable(shape)
+                counts = sorted({len(descent_composition(T)) - 1 for T in skel.vertices})
+                expected = tuple((d, classify_subgraph(*induced_by_descent_count(skel, d)))
+                                 for d in counts)
+                assert check_skeleton_strata(shape).details == expected
 
     def test_never_other_up_to_size_six(self):
         for m in range(1, 7):

@@ -5,8 +5,8 @@ import pytest
 from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidParameters
 from qcrystals.tableaux import (
     band_cells, bands_mergeable, compositions_of, descent_composition,
-    destandardize, enumerate_ssyt, enumerate_syt, highest_weight_tableau,
-    hook_content_count, hook_length_count, is_horizontal_band,
+    destandardize, enumerate_ssyt, enumerate_syt, enumerate_syt_by_parts,
+    highest_weight_tableau, hook_content_count, hook_length_count, is_horizontal_band,
     is_semistandard, is_standard, minimal_parsing, partitions_of,
     reading_rows, reading_word, refines, shape_of, sources_of_type,
     standardize_tableau, standardize_word,
@@ -255,10 +255,12 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("fn, args", [
         (enumerate_syt, ((4, 3, 2),)),
+        (enumerate_syt_by_parts, ((4, 3, 2), 4)),
         (enumerate_ssyt, ((3, 2), 4)),
         (partitions_of, (7,)),
         (compositions_of, (6,)),
-    ], ids=["enumerate_syt", "enumerate_ssyt", "partitions_of", "compositions_of"])
+    ], ids=["enumerate_syt", "enumerate_syt_by_parts", "enumerate_ssyt",
+            "partitions_of", "compositions_of"])
     def test_leaves_no_reference_cycles(self, fn, args):
         gc.disable()
         try:
@@ -280,6 +282,17 @@ class TestEnumeration:
         for m in range(1, 8):
             for shape in partitions_of(m):
                 assert len(enumerate_syt(shape)) == hook_length_count(shape)
+
+    def test_pruned_fill_equals_the_filtered_enumeration(self):
+        for m in range(1, 9):
+            for shape in partitions_of(m):
+                parts = [(T, len(descent_composition(T))) for T in enumerate_syt(shape)]
+                for n in range(0, m + 2):
+                    assert enumerate_syt_by_parts(shape, n) == [
+                        T for T, s in parts if s <= n]
+        # one of the 1,662,804 standard tableaux of 5,5,5,5 has 3 descents
+        assert enumerate_syt_by_parts((5, 5, 5, 5), 4) == [
+            tuple(tuple(range(5 * r + 1, 5 * r + 6)) for r in range(4))]
 
 
 class TestHighestWeight:
