@@ -17,10 +17,10 @@ Take a stable edge between Q with a parts and Q' with b >= a parts. By
 restriction it is a skeleton edge at alphabet b with the same label, and
 there the class of Q' is its band filling w' alone; so every crystal edge
 between the two classes has w' as one end and is one f_i or e_i step, i < b,
-from w'. A step from the band filling of Q stays on the letters 1..a and
-never reaches a tableau with more parts than a. So the stable skeleton, with
-its least labels, is the set of single f_i and e_i steps from the band
-fillings. verify.skeleton_suite checks both facts against the crystal
+out of w'. A step out of the band filling of Q stays on the letters 1..a
+and never reaches a tableau with more parts than a. So the stable skeleton,
+with its least labels, is the set of single f_i and e_i steps out of the
+band fillings. verify.skeleton_suite checks both facts against the crystal
 route, which builds the whole crystal and splits it into classes.
 
 The checkers at the bottom compare the skeleton against dual equivalence

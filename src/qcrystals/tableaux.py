@@ -404,14 +404,11 @@ def enumerate_syt_by_parts(shape: Partition, max_parts: int) -> list[Tableau]:
         for i in range(len(shape)):
             row = rows[i]
             if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
-                if i > last_row:
-                    if parts == max_parts:
-                        break  # every later row is lower too
-                    row.append(k)
-                    place(k + 1, i, parts + 1)
-                else:
-                    row.append(k)
-                    place(k + 1, i, parts)
+                parts_now = parts + (i > last_row)
+                if parts_now > max_parts:
+                    break  # every later row is lower too
+                row.append(k)
+                place(k + 1, i, parts_now)
                 row.pop()
 
     place(1, -1, 0)  # entry 1 starts the first part
