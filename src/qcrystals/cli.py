@@ -10,7 +10,9 @@ MAX_VERTICES tableaux before building it, counted by the hook-content
 formula; skeleton refuses a skeleton of more than MAX_VERTICES standard
 tableaux, counted by the hook-length formula or, under --max-entry n, as
 the standard tableaux with at most n-1 descents in the descent census.
-Neither count lists a tableau.
+dual-equivalence and count kostka list every standard tableau of the
+shape, so they refuse a shape with more than MAX_VERTICES of them. No guard
+count lists a tableau.
 """
 
 import argparse
@@ -35,7 +37,7 @@ from .symfunc import (
 from .tableaux import check_partition, hook_content_count, hook_length_count, max_entry
 from . import verify
 
-# largest graph, in vertices, that crystal, decompose and skeleton build
+# most vertices a command builds, and most standard tableaux kostka lists
 MAX_VERTICES = 1_000_000
 
 
@@ -69,10 +71,10 @@ def _parse_tableau(text, parser):
         parser.error(f"cannot parse tableau: {exc}")
 
 
-def _check_size(count, what):
+def _check_size(count, what, unit="vertices"):
     if count > MAX_VERTICES:
         raise InvalidParameters(
-            f"{what} has {count} vertices, more than the limit of {MAX_VERTICES}")
+            f"{what} has {count} {unit}, more than the limit of {MAX_VERTICES}")
 
 
 def _check_crystal_size(shape, n):
@@ -148,6 +150,8 @@ def cmd_skeleton(args, parser):
 
 def cmd_dual_equivalence(args, parser):
     shape = _parse_shape(args.shape, parser)
+    _check_size(hook_length_count(shape),
+                f"the dual equivalence graph of shape {','.join(map(str, shape))}")
     g = dual_equivalence_graph(shape)
     if args.format == "dot":
         sys.stdout.write(dual_equivalence_to_dot(g))
@@ -183,6 +187,8 @@ def cmd_count(args, parser):
     elif args.what == "kostka":
         shape = _parse_shape(args.shape, parser)
         weight = _parse_ints(args.weight, parser, "weight")
+        _check_size(hook_length_count(shape), f"the shape {','.join(map(str, shape))}",
+                    "standard tableaux")
         print(kostka(shape, weight))
     else:  # plethysm-monomials
         outer = _parse_shape(args.outer, parser)

@@ -14,10 +14,12 @@ takes single steps from band fillings with both. A single word BFS serves
 crystal_words, generate_crystal and word_crystal_component; words become
 tableaux only when the returned CrystalGraph is built, and crystal_words
 hands them out as they are, for callers that never need the tableaux (the
-crystal-route skeleton oracle of verify.skeleton_suite). paren_reduce and
-the per-i operators f_word, e_word, f_tableau and e_tableau apply the rule
-one letter at a time; they are kept as the independent slow oracle that the
-verify suites and the tests compare the generator against.
+crystal-route skeleton oracle of verify.skeleton_suite). Words are cut into
+rows by tableaux.reading_rows, and a CrystalGraph reads its kind off its
+vertices. paren_reduce and the per-i operators f_word, e_word, f_tableau
+and e_tableau apply the rule one letter at a time; they are kept as the
+independent slow oracle that the verify suites and the tests compare the
+generator against.
 
 A finished graph is walked by one routine, bfs_forest, a list-indexed
 breadth-first forest: CrystalGraph.depths, the descent-class split in
@@ -31,8 +33,8 @@ from types import MappingProxyType
 from .errors import InvalidParameters
 from .tableaux import (
     Partition, Tableau, Word,
-    check_partition, highest_weight_tableau, reading_cells, reading_rows,
-    reading_word, shape_of,
+    check_partition, highest_weight_tableau, reading_rows, reading_word,
+    shape_of,
 )
 
 _NO_EDGES = MappingProxyType({})
@@ -91,15 +93,10 @@ def e_word(w: Word, i: int) -> Word | None:
 
 
 def _apply_on_reading_word(T: Tableau, i: int, word_op) -> Tableau | None:
-    w = reading_word(T)
-    new = word_op(w, i)
+    new = word_op(reading_word(T), i)
     if new is None:
         return None
-    pos = next(k for k in range(len(w)) if w[k] != new[k])
-    r, c = reading_cells(shape_of(T))[pos]
-    rows = [list(row) for row in T]
-    rows[r][c] = new[pos]
-    return tuple(tuple(row) for row in rows)
+    return tuple(new[row] for row in reading_rows(shape_of(T)))
 
 
 def f_tableau(T: Tableau, i: int) -> Tableau | None:
@@ -155,7 +152,13 @@ class CrystalGraph:
     edges: tuple[tuple[int, int, int], ...]
     source: int | None
     max_entry: int
-    kind: str = "tableau"
+
+    @property
+    def kind(self) -> str:
+        """'tableau' or 'word', read off the first vertex; () is the empty word
+        and a graph with no vertex is an empty tableau crystal."""
+        first = self.vertices[0] if self.vertices else ((),)
+        return "tableau" if first and isinstance(first[0], tuple) else "word"
 
     @cached_property
     def _index(self) -> dict:
@@ -290,10 +293,10 @@ def generate_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
     shape = check_partition(shape)
     words, edges = crystal_words(shape, max_entry)
     if not words:
-        return CrystalGraph((), (), None, max_entry, "tableau")
+        return CrystalGraph((), (), None, max_entry)
     rows = reading_rows(shape)
     vertices = tuple(tuple(w[row] for row in rows) for w in words)
-    return CrystalGraph(vertices, edges, 0, max_entry, "tableau")
+    return CrystalGraph(vertices, edges, 0, max_entry)
 
 
 def word_crystal_component(w: Word, max_entry: int) -> CrystalGraph:
@@ -316,4 +319,4 @@ def word_crystal_component(w: Word, max_entry: int) -> CrystalGraph:
                 raised = True
                 break
     words, edges = _word_bfs(current, max_entry)
-    return CrystalGraph(tuple(words), edges, 0, max_entry, "word")
+    return CrystalGraph(tuple(words), edges, 0, max_entry)

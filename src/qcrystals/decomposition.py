@@ -23,7 +23,7 @@ from .crystal import CrystalGraph, bfs_forest, generate_crystal
 from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Partition, Tableau,
-    check_composition, check_partition, composition_to_descent_set,
+    band_letters, check_composition, check_partition, composition_to_descent_set,
     descent_composition, hook_content_count, reading_word, refines,
     syt_descent_compositions, weight_of,
 )
@@ -171,24 +171,6 @@ def _band_sequence(T: Tableau) -> tuple[int, ...]:
     return tuple(sorted(v for row in T for v in row))
 
 
-def _strip_block_shifts(seq: tuple[int, ...], alpha: Composition) -> tuple[int, ...]:
-    """Subtract k-1 from positions in band k; inverse of the boundary shifts."""
-    out = []
-    pos = 0
-    for k, part in enumerate(alpha):
-        for _ in range(part):
-            out.append(seq[pos] - k)
-            pos += 1
-    return tuple(out)
-
-
-def _band_of_position(alpha: Composition) -> list[int]:
-    bands = []
-    for k, part in enumerate(alpha):
-        bands.extend([k] * part)
-    return bands
-
-
 def verify_subcomponent_iso(G: CrystalGraph, sub: Subcomponent, n: int):
     """Check the constructive isomorphism of the class onto its one-row model.
 
@@ -198,25 +180,25 @@ def verify_subcomponent_iso(G: CrystalGraph, sub: Subcomponent, n: int):
     """
     alpha = sub.alpha
     model = canonical_quasicrystal(alpha, n)
+    # position p of a sorted sequence lies in band k + 1 and is shifted by k
+    shifts = [letter - 1 for letter in band_letters(alpha)]
     mapping: dict[int, int] = {}
     for u in sub.vertex_indices:
         seq = _band_sequence(G.vertices[u])
-        reduced = _strip_block_shifts(seq, alpha)
+        reduced = tuple(x - k for x, k in zip(seq, shifts))
         if any(x < 1 or x > n - len(alpha) + 1 for x in reduced):
             return False, ("vertex out of range", u, reduced)
         mapping[u] = model.index_of((reduced,))
     if len(set(mapping.values())) != len(mapping) or len(mapping) != len(model.vertices):
         return False, ("vertex map is not a bijection",)
 
-    bands = _band_of_position(alpha)
     for u, v, i in sub.edges:
         seq_u = _band_sequence(G.vertices[u])
         seq_v = _band_sequence(G.vertices[v])
         changed = [p for p in range(len(seq_u)) if seq_u[p] != seq_v[p]]
         if len(changed) != 1:
             return False, ("edge changes several sequence positions", (u, v, i))
-        k = bands[changed[0]]
-        expected = i - k
+        expected = i - shifts[changed[0]]
         if model.out_edges(mapping[u]).get(expected) != mapping[v]:
             return False, ("edge missing in model", (u, v, i), expected)
     if len(sub.edges) != len(model.edges):

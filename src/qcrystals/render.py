@@ -59,9 +59,6 @@ def crystal_from_json(text: str) -> CrystalGraph:
     data = json.loads(text)
     vertices = tuple(tuple(tuple(row) for row in v) if v and isinstance(v[0], list)
                      else tuple(v) for v in data["vertices"])
-    kind = "tableau" if all(isinstance(v[0], tuple) for v in vertices if v) else "word"
-    if not vertices:
-        kind = "tableau"
     edges = tuple((u, v, i) for u, v, i in data["edges"])
     indices = range(len(vertices))
     for u, v, i in edges:
@@ -76,71 +73,67 @@ def crystal_from_json(text: str) -> CrystalGraph:
         edges=edges,
         source=source,
         max_entry=data["max_entry"],
-        kind=kind,
     )
+
+
+def _to_dot(header, vertices, kind, arrow, edges, fill) -> str:
+    """DOT text: the header lines, a line per vertex, filled where fill maps
+    its index to a color, and a line per edge of vertex indices."""
+    lines = list(header)
+    for k, vertex in enumerate(vertices):
+        label = _vertex_label(vertex, kind).replace('"', '\\"')
+        extra = f', style=filled, fillcolor="{fill[k]}"' if k in fill else ""
+        lines.append(f'  v{k} [label="{label}"{extra}];')
+    for u, v, i in edges:
+        lines.append(f'  v{u} {arrow} v{v} [label={i}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def crystal_to_dot(G: CrystalGraph, subcomponents: list[Subcomponent] | None = None) -> str:
     """DOT rendering; with subcomponents, vertices are colored by class type."""
-    lines = ["digraph crystal {", "  rankdir=TB;"]
     fill = {}
-    if subcomponents:
-        for sub in subcomponents:
-            color = composition_color(sub.alpha)
-            for v in sub.vertex_indices:
-                fill[v] = color
-    for k, vertex in enumerate(G.vertices):
-        label = _vertex_label(vertex, G.kind).replace('"', '\\"')
-        extra = f', style=filled, fillcolor="{fill[k]}"' if k in fill else ""
-        lines.append(f'  v{k} [label="{label}"{extra}];')
-    for u, v, i in G.edges:
-        lines.append(f'  v{u} -> v{v} [label={i}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for sub in subcomponents or ():
+        fill.update(dict.fromkeys(sub.vertex_indices, composition_color(sub.alpha)))
+    return _to_dot(("digraph crystal {", "  rankdir=TB;"), G.vertices, G.kind, "->",
+                   G.edges, fill)
+
+
+def _indexed_edges(vertices, edges) -> list[tuple[int, int, int]]:
+    """Edges (u, v, label) on the given vertices as sorted index triples."""
+    index = {T: k for k, T in enumerate(vertices)}
+    return sorted((index[u], index[v], label) for u, v, label in edges)
+
+
+def _skeleton_edges(skel: SkeletonGraph):
+    return ((u, v, label) for (u, v), label in skel.edges.items())
 
 
 def skeleton_to_dot(skel: SkeletonGraph) -> str:
-    index = {T: k for k, T in enumerate(skel.vertices)}
-    lines = ["digraph skeleton {", "  rankdir=TB;"]
-    for T, k in index.items():
-        label = _vertex_label(T, "tableau").replace('"', '\\"')
-        lines.append(f'  v{k} [label="{label}"];')
-    for (u, v), label in sorted(skel.edges.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]])):
-        lines.append(f'  v{index[u]} -> v{index[v]} [label={label}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot(("digraph skeleton {", "  rankdir=TB;"), skel.vertices, "tableau", "->",
+                   _indexed_edges(skel.vertices, _skeleton_edges(skel)), {})
 
 
 def skeleton_to_json(skel: SkeletonGraph) -> str:
-    index = {T: k for k, T in enumerate(skel.vertices)}
     payload = {
         "shape": list(skel.shape),
         "max_entry": skel.max_entry,
         "stable_bound": skel.stable_bound,
         "vertices": [[list(row) for row in T] for T in skel.vertices],
-        "edges": sorted([index[u], index[v], label]
-                        for (u, v), label in skel.edges.items()),
+        "edges": _indexed_edges(skel.vertices, _skeleton_edges(skel)),
     }
     return json.dumps(payload)
 
 
 def dual_equivalence_to_dot(g: DualEquivalenceGraph) -> str:
-    index = {T: k for k, T in enumerate(g.vertices)}
-    lines = ["graph dual_equivalence {"]
-    for T, k in index.items():
-        label = _vertex_label(T, "tableau").replace('"', '\\"')
-        lines.append(f'  v{k} [label="{label}"];')
-    for u, v, i in sorted(g.edges, key=lambda e: (index[e[0]], index[e[1]], e[2])):
-        lines.append(f'  v{index[u]} -- v{index[v]} [label={i}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot(("graph dual_equivalence {",), g.vertices, "tableau", "--",
+                   _indexed_edges(g.vertices, g.edges), {})
 
 
 def dual_equivalence_to_json(g: DualEquivalenceGraph) -> str:
-    index = {T: k for k, T in enumerate(g.vertices)}
     payload = {
         "shape": list(g.shape),
         "vertices": [[list(row) for row in T] for T in g.vertices],
-        "edges": sorted([index[u], index[v], i] for u, v, i in g.edges),
+        "edges": _indexed_edges(g.vertices, g.edges),
     }
     return json.dumps(payload)

@@ -21,7 +21,10 @@ out of w'. A step out of the band filling of Q stays on the letters 1..a
 and never reaches a tableau with more parts than a. So the stable skeleton,
 with its least labels, is the set of single f_i and e_i steps out of the
 band fillings. verify.skeleton_suite checks both facts against the crystal
-route, which builds the whole crystal and splits it into classes.
+route, which builds the whole crystal and splits it into classes. The band
+filling itself comes from tableaux.band_filling, which reads it off the
+reading word of Q; tableaux is the one module that maps standard labels to
+band letters.
 
 The checkers at the bottom compare the skeleton against dual equivalence
 graphs and probe the structure of its fixed-descent-count strata; their
@@ -30,6 +33,7 @@ a build. Report, defined here, is the one report type of the package: the
 verify suites return it too.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .crystal import bfs_forest, generate_crystal, lowering_positions, raising_positions
@@ -37,10 +41,10 @@ from .decomposition import decompose, subcomponent_sink
 from .errors import InvalidParameters
 from .rsk import evacuate
 from .tableaux import (
-    Partition, Tableau, Word,
-    check_partition, compositions_of, descent_composition, enumerate_syt,
-    enumerate_syt_by_parts, is_standard, reading_word, sources_of_type,
-    standardize_word, tableau_size,
+    Partition, Tableau,
+    band_filling, check_partition, compositions_of, descent_composition,
+    enumerate_syt, enumerate_syt_by_parts, is_standard, reading_word,
+    standardize_word, syt_descent_compositions, tableau_size,
 )
 
 
@@ -49,7 +53,6 @@ class SkeletonGraph:
     """Directed graph on standard tableaux with one minimal label per edge."""
     shape: Partition
     max_entry: int
-    stable_bound: int
     vertices: tuple[Tableau, ...]
     edges: dict[tuple[Tableau, Tableau], int]
 
@@ -59,13 +62,14 @@ class SkeletonGraph:
                 and set(self.vertices) == set(other.vertices)
                 and self.edges == other.edges)
 
+    @property
+    def stable_bound(self) -> int:
+        """max_descent_composition_length(shape): stable from this alphabet on."""
+        return max_descent_composition_length(self.shape)
+
     def unordered_pairs(self) -> dict[frozenset, int]:
         """Ordered-edge count per unordered vertex pair (0, 1 or 2)."""
-        pairs: dict[frozenset, int] = {}
-        for (u, v) in self.edges:
-            key = frozenset((u, v))
-            pairs[key] = pairs.get(key, 0) + 1
-        return pairs
+        return Counter(frozenset(pair) for pair in self.edges)
 
 
 def max_descent_composition_length(shape: Partition) -> int:
@@ -79,21 +83,6 @@ def max_descent_composition_length(shape: Partition) -> int:
     """
     shape = check_partition(shape)
     return sum(shape) - shape[0] + 1
-
-
-def _band_filling(q: Word) -> Word:
-    """Reading word of destandardize(Q, alpha), from the reading word q of Q.
-
-    Label k+1 opens a new band, the next letter, iff it is a descent of Q,
-    that is iff k+1 comes before k in q (the lower rows are read first).
-    """
-    at = [0] * (len(q) + 1)
-    for pos, label in enumerate(q):
-        at[label] = pos
-    letter_of = [0, 1]
-    for label in range(2, len(q) + 1):
-        letter_of.append(letter_of[-1] + (at[label] < at[label - 1]))
-    return tuple(letter_of[label] for label in q)
 
 
 def build_skeleton(shape: Partition, max_entry: int) -> SkeletonGraph:
@@ -117,7 +106,7 @@ def build_skeleton(shape: Partition, max_entry: int) -> SkeletonGraph:
     vertex_of = dict(zip(words, vertices))
     edges: dict[tuple[Tableau, Tableau], int] = {}
     for Q, q in zip(vertices, words):
-        w = _band_filling(q)
+        w = band_filling(q)
         s = max(w)  # the number of parts
         down, up = lowering_positions(w, s), raising_positions(w, s)
         for i in range(1, s):
@@ -131,8 +120,7 @@ def build_skeleton(shape: Partition, max_entry: int) -> SkeletonGraph:
                 key = (vertex_of[standardize_word(w[:pos] + (i,) + w[pos + 1:])], Q)
                 if key not in edges or i < edges[key]:
                     edges[key] = i
-    return SkeletonGraph(shape, max_entry, max_descent_composition_length(shape),
-                         vertices, edges)
+    return SkeletonGraph(shape, max_entry, vertices, edges)
 
 
 def skeleton_stable(shape: Partition) -> SkeletonGraph:
@@ -253,11 +241,7 @@ class DualEquivalenceGraph:
     edges: frozenset  # (T, T', i) with T < T'
 
     def unordered_pairs(self) -> dict[frozenset, int]:
-        pairs: dict[frozenset, int] = {}
-        for (u, v, _) in self.edges:
-            key = frozenset((u, v))
-            pairs[key] = pairs.get(key, 0) + 1
-        return pairs
+        return Counter(frozenset((u, v)) for u, v, _ in self.edges)
 
 
 def _swap_values(T: Tableau, a: int, b: int) -> Tableau:
@@ -319,7 +303,6 @@ class Report:
     passed: bool
     details: tuple
     wall_time: float = 0.0
-    notes: tuple[str, ...] = ()
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -355,8 +338,7 @@ def check_dual_equivalence_conjecture(shape: Partition) -> Report:
         details=(("skeleton_unordered_pairs", len(sk_pairs)),
                  ("dual_equivalence_unordered_pairs", len(de_pairs)),
                  ("skeleton_only_pairs", len(skeleton_only)),
-                 ("violations", tuple(violations))),
-        notes=("skeleton multiplicity = ordered edges per unordered pair",))
+                 ("violations", tuple(violations))))
 
 
 def check_skeleton_strata(shape: Partition) -> Report:
@@ -388,7 +370,7 @@ def check_reordering_conjecture(m: int) -> Report:
     missing = []
     for alpha in compositions_of(m):
         lam = tuple(sorted(alpha, reverse=True))
-        if not sources_of_type(lam, alpha):
+        if alpha not in syt_descent_compositions(lam):
             missing.append(alpha)
     return Report(
         name=f"reordering conjecture at size {m}",

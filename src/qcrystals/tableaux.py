@@ -215,11 +215,6 @@ def max_entry(T: Tableau) -> int:
     return max((v for row in T for v in row), default=0)
 
 
-def reading_cells(shape: Partition) -> list[tuple[int, int]]:
-    """Cells in row reading order: last row first, each row left to right."""
-    return [(i, j) for i in reversed(range(len(shape))) for j in range(shape[i])]
-
-
 def reading_word(T: Tableau) -> Word:
     """Concatenate rows bottom to top, each left to right."""
     if not T:
@@ -294,15 +289,7 @@ def minimal_parsing(T: Tableau) -> HorizontalBandParsing:
     """The unique coarsest parsing of T into maximal horizontal bands."""
     std = standardize_tableau(T)
     alpha = descent_set_to_composition(tableau_descent_set(std), tableau_size(T))
-    band_of_label = {}
-    band, used = 1, 0
-    for length in alpha:
-        for label in range(used + 1, used + length + 1):
-            band_of_label[label] = band
-        used += length
-        band += 1
-    bands = tuple(tuple(band_of_label[v] for v in row) for row in std)
-    return HorizontalBandParsing(band_of_cell=bands, type=alpha)
+    return HorizontalBandParsing(band_of_cell=destandardize(std, alpha), type=alpha)
 
 
 def band_cells(parsing: HorizontalBandParsing, band: int) -> list[tuple[int, int]]:
@@ -461,18 +448,35 @@ def highest_weight_tableau(shape: Partition) -> Tableau:
     return tuple((i,) * r for i, r in enumerate(shape, 1))
 
 
+def band_letters(alpha: Composition) -> tuple[int, ...]:
+    """Band letter of each standard label 1..|alpha|: part k of alpha gives k.
+
+    band_letters((2, 1, 3)) == (1, 1, 2, 3, 3, 3), indexed by label - 1.
+    """
+    return tuple(k for k, part in enumerate(alpha, 1) for _ in range(part))
+
+
 def destandardize(T: Tableau, alpha: Composition) -> Tableau:
     """Fill the k-th block of alpha consecutive entries of a standard T with k."""
-    entry_of = {}
-    k, used = 1, 0
-    for part in alpha:
-        for label in range(used + 1, used + part + 1):
-            entry_of[label] = k
-        used += part
-        k += 1
-    if used != tableau_size(T):
-        raise InvalidParameters("composition size does not match tableau size")
-    return tuple(tuple(entry_of[v] for v in row) for row in T)
+    letters = band_letters(alpha)
+    if len(letters) != tableau_size(T) or not is_standard(T):
+        raise InvalidParameters(f"not a standard tableau of size {len(letters)}: {T}")
+    return tuple(tuple(letters[v - 1] for v in row) for row in T)
+
+
+def band_filling(q: Word) -> Word:
+    """Reading word of destandardize(Q, descent_composition(Q)), from q.
+
+    q is the reading word of the standard tableau Q. Label k+1 opens a new
+    band, the next letter, iff k+1 comes before k in q: a descent of Q.
+    """
+    at = [0] * (len(q) + 1)
+    for pos, label in enumerate(q):
+        at[label] = pos
+    letter_of = [0, 1]
+    for label in range(2, len(q) + 1):
+        letter_of.append(letter_of[-1] + (at[label] < at[label - 1]))
+    return tuple(letter_of[label] for label in q)
 
 
 def sources_of_type(shape: Partition, alpha: Composition) -> list[Tableau]:

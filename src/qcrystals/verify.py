@@ -10,7 +10,6 @@ result payload and its wall time.
 import random
 import time
 from dataclasses import replace
-from math import comb
 
 from . import skeleton, symfunc
 from .crystal import (
@@ -18,7 +17,7 @@ from .crystal import (
     word_crystal_component,
 )
 from .decomposition import (
-    count_bm, count_ssyt_formula, decompose, descent_classes,
+    QuasicrystalClass, count_bm, count_ssyt_formula, decompose, descent_classes,
     descent_count_census, kostka, subcomponent_longest_path, subcomponent_sink,
     verify_subcomponent_iso, weight_matching_bijection,
     weight_multiplicity_in_subcomponent,
@@ -197,6 +196,7 @@ def decomposition_suite(max_size: int = 6, alphabet: int = 4) -> Report:
             lam_moment = _moment(shape)
             for sub in subs:
                 s = len(sub.alpha)
+                signature = QuasicrystalClass(m, s, n)
                 source = sub.source
                 if weight_of(source, n)[:s] != sub.alpha or descent_composition(source) != sub.alpha:
                     failures.append(("source filling", shape, n, sub.alpha))
@@ -208,12 +208,13 @@ def decomposition_suite(max_size: int = 6, alphabet: int = 4) -> Report:
                                     for x in G.out_edges(v).values())]
                 if len(sinks) != 1 or G.vertices[sinks[0]] != subcomponent_sink(sub, n):
                     failures.append(("sink shift rule", shape, n, sub.alpha))
-                if subcomponent_longest_path(sub) != m * (n - s):
+                # height counts the ranks: one more than a longest path's edges
+                if subcomponent_longest_path(sub) != signature.height - 1:
                     failures.append(("height law", shape, n, sub.alpha))
                 ok, witness = verify_subcomponent_iso(G, sub, n)
                 if not ok:
                     failures.append(("one-row isomorphism", shape, n, sub.alpha, witness))
-                if len(sub.vertex_indices) != count_bm(m, n - s + 1):
+                if len(sub.vertex_indices) != signature.vertex_count:
                     failures.append(("class size formula", shape, n, sub.alpha))
                 weights = [weight_of(G.vertices[v], n) for v in sub.vertex_indices]
                 if len(set(weights)) != len(weights):
@@ -304,11 +305,8 @@ def rsk_suite(random_words: int = 300, seed: int = 7) -> Report:
             failures.append(("rotated insertion pair", w))
 
     for n in range(1, 4):
-        words = [()]
-        for _ in range(6):
-            words = [w + (x,) for w in words for x in range(1, n + 1)]
-            for w in words:
-                check_word(w, n)
+        for w in _all_words(n, 6):
+            check_word(w, n)
     rng = random.Random(seed)
     for _ in range(random_words):
         n = rng.randint(2, 4)
@@ -321,7 +319,7 @@ def rsk_suite(random_words: int = 300, seed: int = 7) -> Report:
             if rsk(reading_word(T)).P != T:
                 failures.append(("reading word insertion", T))
     by_p: dict = {}
-    for w in [tuple(w) for w in _all_words(3, 5)]:
+    for w in _all_words(3, 5):
         by_p.setdefault(rsk(w).P, []).append(w)
     for P, group in by_p.items():
         addresses = set()
@@ -334,6 +332,7 @@ def rsk_suite(random_words: int = 300, seed: int = 7) -> Report:
 
 
 def _all_words(n, max_len):
+    """Every word over 1..n of length 1..max_len, shortest first."""
     words = [()]
     for _ in range(max_len):
         words = [w + (x,) for w in words for x in range(1, n + 1)]
@@ -534,7 +533,7 @@ def monomial_suite(max_size: int = 6, alphabet: int = 4) -> Report:
             for n in range(1, 7):
                 count = len(f_to_monomials(alpha, n))
                 s = len(alpha)
-                expected = comb(m + n - s, n - s) if n >= s else 0
+                expected = QuasicrystalClass(m, s, n).vertex_count if n >= s else 0
                 if count != expected:
                     failures.append(("fundamental monomial count", alpha, n))
     return _report(f"monomial bridge up to size {max_size}, alphabet {alphabet}",

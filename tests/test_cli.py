@@ -12,7 +12,7 @@ import pytest
 
 from qcrystals import cli
 from qcrystals.cli import main
-from qcrystals.crystal import generate_crystal
+from qcrystals.crystal import generate_crystal, word_crystal_component
 from qcrystals.decomposition import decompose
 from qcrystals.render import (
     composition_color, crystal_from_json, crystal_to_dot, crystal_to_json,
@@ -74,12 +74,18 @@ class TestRender:
         with pytest.raises(InvalidParameters):
             tableau_from_json("[[2,1]]")
 
-    def test_crystal_json_roundtrip(self):
-        G = generate_crystal((2, 1), 3)
+    @pytest.mark.parametrize("G", [
+        generate_crystal((2, 1), 3),
+        word_crystal_component((2, 1, 3), 3),
+        word_crystal_component((), 3),
+    ], ids=["tableau", "word", "empty-word"])
+    def test_crystal_json_roundtrip(self, G):
         H = crystal_from_json(crystal_to_json(G))
         assert H.vertices == G.vertices
         assert H.edges == G.edges
         assert H.source == G.source and H.max_entry == G.max_entry
+        assert H.kind == G.kind
+        assert H == G
 
     def test_crystal_json_rejects_bad_indices(self):
         from qcrystals.errors import InvalidParameters
@@ -278,8 +284,11 @@ class TestSizeGuard:
         ["skeleton", "--shape", "5,5,5,5", "--max-entry", "12"],
         # 55,099,278 standard tableaux: the bound S must not list them
         ["skeleton", "--shape", "8,6,4,2"],
+        # both list all 1,662,804 standard tableaux of the shape
+        ["dual-equivalence", "--shape", "5,5,5,5"],
+        ["count", "kostka", "--shape", "5,5,5,5", "--weight", "5,5,5,5"],
     ], ids=["crystal", "decompose", "skeleton", "skeleton-max-entry",
-            "skeleton-many-standard-tableaux"])
+            "skeleton-many-standard-tableaux", "dual-equivalence", "count-kostka"])
     def test_huge_crystal_is_refused_before_building(self, argv):
         proc = _run_bounded_child(argv)
         assert proc.returncode == 1
@@ -298,6 +307,19 @@ class TestSizeGuard:
         assert (code, out) == (1, "")
         assert err == ("error: the crystal of shape 3,2 with entries <= 3 has 15 "
                        "vertices, more than the limit of 14\n")
+
+    def test_standard_tableau_listings_are_limited_inclusively(self, monkeypatch):
+        # 3,2 has 5 standard tableaux
+        dual = ["dual-equivalence", "--shape", "3,2"]
+        kostka = ["count", "kostka", "--shape", "3,2", "--weight", "2,2,1"]
+        monkeypatch.setattr(cli, "MAX_VERTICES", 5)
+        assert run_cli(dual)[:2] == (0, "5 vertices, 6 labelled edges\n")
+        assert run_cli(kostka)[:2] == (0, "2\n")
+        monkeypatch.setattr(cli, "MAX_VERTICES", 4)
+        assert run_cli(dual) == (1, "", "error: the dual equivalence graph of shape 3,2 "
+                                 "has 5 vertices, more than the limit of 4\n")
+        assert run_cli(kostka) == (1, "", "error: the shape 3,2 has 5 standard tableaux, "
+                                   "more than the limit of 4\n")
 
     def test_skeleton_guard_counts_standard_tableaux(self, monkeypatch):
         # 3,2,1 has 16 standard tableaux, 8 with 2 descents and 8 with 3; its

@@ -14,7 +14,8 @@ from qcrystals.skeleton import (
     induced_by_descent_count, max_descent_composition_length, skeleton_stable,
 )
 from qcrystals.tableaux import (
-    descent_composition, enumerate_syt, partitions_of, syt_descent_compositions,
+    compositions_of, descent_composition, enumerate_syt, partitions_of,
+    sources_of_type, syt_descent_compositions,
 )
 
 
@@ -204,6 +205,17 @@ class TestReorderingConjecture:
         details = dict((k, v) for k, v in report.details)
         assert details["compositions_checked"] == 8
         assert details["missing"] == ()
+
+    def test_report_equals_the_sources_of_type_route(self):
+        # the report tests membership in the descent-composition table; the
+        # old route built the band fillings of each composition instead
+        for m in range(1, 9):
+            missing = tuple(alpha for alpha in compositions_of(m)
+                            if not sources_of_type(tuple(sorted(alpha, reverse=True)), alpha))
+            report = check_reordering_conjecture(m)
+            assert report.passed == (not missing)
+            assert report.details == (("compositions_checked", 2 ** (m - 1)),
+                                      ("missing", missing))
 
 
 class TestEvacDuality:

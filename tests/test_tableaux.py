@@ -4,7 +4,7 @@ import pytest
 
 from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidParameters
 from qcrystals.tableaux import (
-    band_cells, bands_mergeable, compositions_of, descent_composition,
+    band_cells, band_filling, band_letters, bands_mergeable, compositions_of, descent_composition,
     destandardize, enumerate_ssyt, enumerate_syt, enumerate_syt_by_parts,
     highest_weight_tableau, hook_content_count, hook_length_count, is_horizontal_band,
     is_semistandard, is_standard, minimal_parsing, partitions_of,
@@ -333,6 +333,26 @@ class TestSourcesOfType:
         for t, comp in zip(enumerate_syt((3, 2)), syt_descent_compositions((3, 2))):
             filled = destandardize(t, comp)
             assert standardize_tableau(filled) == t
+
+
+class TestBandLetters:
+    def test_example(self):
+        assert band_letters((2, 1, 3)) == (1, 1, 2, 3, 3, 3)
+        assert destandardize(T([1, 2, 4], [3, 5, 6]), (2, 1, 3)) == T([1, 1, 3], [2, 3, 3])
+
+    def test_rejects_all_but_a_standard_tableau_of_the_size(self):
+        for t in (T([1, 2], [3]), T([0, 1]), T([1, 1], [2]), T([1, 3], [2, 5])):
+            with pytest.raises(InvalidParameters):
+                destandardize(t, (2, 2))
+
+    def test_band_filling_is_the_reading_word_of_the_source(self):
+        # every standard tableau of size <= 8: the reading-word form used by
+        # the skeleton against the tableau form
+        for m in range(1, 9):
+            for shape in partitions_of(m):
+                for Q in enumerate_syt(shape):
+                    assert band_filling(reading_word(Q)) == reading_word(
+                        destandardize(Q, descent_composition(Q)))
 
 
 class TestWeightOf:
