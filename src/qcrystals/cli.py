@@ -13,29 +13,17 @@ the standard tableaux with at most n-1 descents in the descent census.
 dual-equivalence and count kostka list every standard tableau of the
 shape, so they refuse a shape with more than MAX_VERTICES of them. No guard
 count lists a tableau.
+
+Each subcommand imports only the modules it runs: rsk and evac load no
+crystal code, and no subcommand but check loads verify.
 """
 
 import argparse
 import json
 import sys
 
-from .crystal import generate_crystal
-from .decomposition import (
-    count_bm, count_ssyt_formula, decompose, descent_count_census, kostka,
-)
 from .errors import InvalidParameters, QCrystalsError
-from .render import (
-    crystal_to_dot, crystal_to_json, dual_equivalence_to_dot,
-    dual_equivalence_to_json, skeleton_to_dot, skeleton_to_json,
-    tableau_from_json, tableau_to_json,
-)
-from .rsk import evacuate, rsk
-from .skeleton import build_skeleton, dual_equivalence_graph, skeleton_stable
-from .symfunc import (
-    format_schur_expansion, parse_f_expansion, plethysm_monomial_count, schurify,
-)
 from .tableaux import check_partition, hook_content_count, hook_length_count, max_entry
-from . import verify
 
 # most vertices a command builds, and most standard tableaux kostka lists
 MAX_VERTICES = 1_000_000
@@ -65,6 +53,7 @@ def _parse_word(text, parser):
 
 
 def _parse_tableau(text, parser):
+    from .render import tableau_from_json
     try:
         return tableau_from_json(text)
     except (QCrystalsError, json.JSONDecodeError) as exc:
@@ -83,6 +72,7 @@ def _check_crystal_size(shape, n):
 
 
 def _emit_crystal(G, fmt, subs=None):
+    from .render import crystal_to_dot, crystal_to_json, tableau_to_json
     if fmt == "dot":
         sys.stdout.write(crystal_to_dot(G, subs))
     elif fmt == "json":
@@ -96,15 +86,21 @@ def _emit_crystal(G, fmt, subs=None):
 
 
 def cmd_crystal(args, parser):
+    from .crystal import generate_crystal
     shape = _parse_shape(args.shape, parser)
     _check_crystal_size(shape, args.max_entry)
     G = generate_crystal(shape, args.max_entry)
-    subs = decompose(G) if args.decompose else None
+    subs = None
+    if args.decompose:
+        from .decomposition import decompose
+        subs = decompose(G)
     _emit_crystal(G, args.format, subs)
     return 0
 
 
 def cmd_decompose(args, parser):
+    from .crystal import generate_crystal
+    from .decomposition import decompose
     shape = _parse_shape(args.shape, parser)
     _check_crystal_size(shape, args.max_entry)
     G = generate_crystal(shape, args.max_entry)
@@ -127,6 +123,9 @@ def cmd_decompose(args, parser):
 
 
 def cmd_skeleton(args, parser):
+    from .decomposition import descent_count_census
+    from .render import skeleton_to_dot, skeleton_to_json
+    from .skeleton import build_skeleton, skeleton_stable
     shape = _parse_shape(args.shape, parser)
     what = f"the skeleton of shape {','.join(map(str, shape))}"
     if args.max_entry is None:
@@ -149,6 +148,8 @@ def cmd_skeleton(args, parser):
 
 
 def cmd_dual_equivalence(args, parser):
+    from .render import dual_equivalence_to_dot, dual_equivalence_to_json
+    from .skeleton import dual_equivalence_graph
     shape = _parse_shape(args.shape, parser)
     _check_size(hook_length_count(shape),
                 f"the dual equivalence graph of shape {','.join(map(str, shape))}")
@@ -163,6 +164,7 @@ def cmd_dual_equivalence(args, parser):
 
 
 def cmd_schurify(args, parser):
+    from .symfunc import format_schur_expansion, parse_f_expansion, schurify
     if args.input == "-":
         text = sys.stdin.read()
     else:
@@ -180,17 +182,21 @@ def cmd_schurify(args, parser):
 
 def cmd_count(args, parser):
     if args.what == "ssyt":
+        from .decomposition import count_ssyt_formula
         shape = _parse_shape(args.shape, parser)
         print(count_ssyt_formula(shape, args.max_entry))
     elif args.what == "bm":
+        from .decomposition import count_bm
         print(count_bm(args.size, args.max_entry))
     elif args.what == "kostka":
+        from .decomposition import kostka
         shape = _parse_shape(args.shape, parser)
         weight = _parse_ints(args.weight, parser, "weight")
         _check_size(hook_length_count(shape), f"the shape {','.join(map(str, shape))}",
                     "standard tableaux")
         print(kostka(shape, weight))
     else:  # plethysm-monomials
+        from .symfunc import plethysm_monomial_count
         outer = _parse_shape(args.outer, parser)
         inner = _parse_shape(args.inner, parser)
         print(plethysm_monomial_count(outer, inner, args.max_entry))
@@ -198,6 +204,8 @@ def cmd_count(args, parser):
 
 
 def cmd_evac(args, parser):
+    from .render import tableau_to_json
+    from .rsk import evacuate
     T = _parse_tableau(args.tableau, parser)
     n = args.max_entry if args.max_entry is not None else max_entry(T)
     print(tableau_to_json(evacuate(T, n)))
@@ -205,6 +213,7 @@ def cmd_evac(args, parser):
 
 
 def cmd_rsk(args, parser):
+    from .rsk import rsk
     w = _parse_word(args.word, parser)
     pair = rsk(w)
     print(json.dumps({"P": [list(r) for r in pair.P], "Q": [list(r) for r in pair.Q]}))
@@ -212,12 +221,14 @@ def cmd_rsk(args, parser):
 
 
 def _theorem_job(payload):
+    from . import verify
     name, max_size = payload
     report = verify.run_theorem_suite(name, max_size)
     return name, report
 
 
 def _conjecture_job(payload):
+    from . import verify
     name, max_size = payload
     reports = verify.run_conjecture_suite(name, max_size)
     return name, reports
@@ -226,6 +237,7 @@ def _conjecture_job(payload):
 def cmd_check(args, parser):
     if args.max_size < 1:
         parser.error(f"--max-size must be >= 1, got {args.max_size}")
+    from . import verify
     which = args.which
     results = {"theorems": [], "conjectures": []}
     theorem_jobs = [(name, args.max_size) for name, _ in verify.THEOREM_SUITES] \

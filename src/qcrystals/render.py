@@ -5,14 +5,18 @@ generation order, colors are content-addressed, and no timestamps are
 emitted.
 """
 
-import hashlib
-import json
+from __future__ import annotations
 
-from .crystal import CrystalGraph
-from .decomposition import Subcomponent
+import json
+from typing import TYPE_CHECKING
+
 from .errors import InvalidParameters
-from .skeleton import DualEquivalenceGraph, SkeletonGraph
 from .tableaux import Tableau, from_rows, is_semistandard
+
+if TYPE_CHECKING:  # annotations only: loading these would cost every render
+    from .crystal import CrystalGraph
+    from .decomposition import Subcomponent
+    from .skeleton import DualEquivalenceGraph, SkeletonGraph
 
 
 def tableau_to_json(T: Tableau) -> str:
@@ -37,6 +41,7 @@ def _vertex_label(vertex, kind: str) -> str:
 
 def composition_color(alpha) -> str:
     """Stable hex color; a composition and its reverse share the same color."""
+    import hashlib  # only here: most renders never color a vertex
     key = min(tuple(alpha), tuple(reversed(alpha)))
     digest = hashlib.sha256(repr(key).encode()).digest()
     # keep it light so black labels stay readable
@@ -55,10 +60,28 @@ def crystal_to_json(G: CrystalGraph) -> str:
     return json.dumps(payload)
 
 
+def _letters(xs, n) -> bool:
+    """Whether xs is a JSON array of letters 1..n."""
+    return isinstance(xs, list) and all(type(x) is int and 1 <= x <= n for x in xs)
+
+
 def crystal_from_json(text: str) -> CrystalGraph:
+    """The graph crystal_to_json wrote; its vertices must be all semistandard
+    tableaux or all words, with entries at most max_entry."""
+    from .crystal import CrystalGraph
     data = json.loads(text)
-    vertices = tuple(tuple(tuple(row) for row in v) if v and isinstance(v[0], list)
-                     else tuple(v) for v in data["vertices"])
+    n, raw = data["max_entry"], data["vertices"]
+    if type(n) is not int:
+        raise InvalidParameters(f"max_entry {n!r} is not an integer")
+    tableaux = all(isinstance(v, list) and v and all(_letters(row, n) for row in v)
+                   for v in raw)
+    if tableaux and all(is_semistandard(v) for v in raw):
+        vertices = tuple(map(from_rows, raw))
+    elif not tableaux and all(_letters(v, n) for v in raw):
+        vertices = tuple(map(tuple, raw))
+    else:
+        raise InvalidParameters(
+            f"vertices must be all semistandard tableaux or all words over 1..{n}")
     edges = tuple((u, v, i) for u, v, i in data["edges"])
     indices = range(len(vertices))
     for u, v, i in edges:
@@ -72,7 +95,7 @@ def crystal_from_json(text: str) -> CrystalGraph:
         vertices=vertices,
         edges=edges,
         source=source,
-        max_entry=data["max_entry"],
+        max_entry=n,
     )
 
 

@@ -95,6 +95,18 @@ class TestRender:
             with pytest.raises(InvalidParameters):
                 crystal_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("vertices", [
+        [[[2, 1]]],       # a row that decreases
+        [[1, "a"]],       # a letter that is not an integer
+        [[[1]], [2]],     # a tableau and a word
+        [[[1, 3]]],       # an entry above max_entry
+    ], ids=["not-semistandard", "not-a-letter", "mixed", "above-max-entry"])
+    def test_crystal_json_rejects_bad_vertices(self, vertices):
+        from qcrystals.errors import InvalidParameters
+        payload = {"vertices": vertices, "edges": [], "source": 0, "max_entry": 2}
+        with pytest.raises(InvalidParameters):
+            crystal_from_json(json.dumps(payload))
+
     def test_crystal_dot_parses(self):
         G = generate_crystal((2, 1), 3)
         nodes, edges = parse_dot(crystal_to_dot(G))
@@ -257,6 +269,49 @@ class TestCli:
     def test_deterministic_output(self):
         argv = ["crystal", "--shape", "3,2", "--max-entry", "3", "--format", "dot"]
         assert run_cli(argv)[1] == run_cli(argv)[1]
+
+
+# what a subcommand may load, checked in a fresh interpreter for each argv
+LOADED_BY = [
+    (["count", "ssyt", "--shape", "3,2", "--max-entry", "3"], None),
+    (["count", "bm", "--size", "3", "--max-entry", "3"], None),
+    (["count", "kostka", "--shape", "3,2", "--weight", "2,2,1"], None),
+    (["count", "plethysm-monomials", "--outer", "2", "--inner", "2", "--max-entry", "2"],
+     None),
+    (["rsk", "--word", "312"], None),
+    (["evac", "--tableau", "[[1,2,4],[3]]"], None),
+    (["crystal", "--shape", "2,1", "--max-entry", "3", "--format", "json"], None),
+    (["crystal", "--shape", "2,1", "--max-entry", "3", "--format", "dot", "--decompose"],
+     None),
+    (["decompose", "--shape", "2,1", "--max-entry", "3", "--format", "json"], None),
+    (["skeleton", "--shape", "2,1"], None),
+    (["dual-equivalence", "--shape", "2,1"], None),
+    (["schurify", "--input", "-"], "F[2]\n"),
+    (["check", "--max-size", "2"], None),
+    (["check", "--max-size", "2", "--which", "conjectures", "--parallel"], None),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", LOADED_BY, ids=[" ".join(a) for a, _ in LOADED_BY])
+def test_each_subcommand_loads_only_what_it_runs(argv, stdin):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import json, sys, qcrystals.cli as c; c.main(sys.argv[1:]); "
+            "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    command = argv[0]
+    assert ("qcrystals.verify" in loaded) == (command == "check")
+    if command not in ("skeleton", "dual-equivalence", "check"):
+        assert "qcrystals.skeleton" not in loaded
+    if argv[:2] in (["count", "bm"], ["count", "ssyt"]) or command == "rsk":
+        assert not loaded & {"qcrystals.render", "qcrystals.symfunc"}
+    if command == "crystal" and "json" in argv:
+        assert "hashlib" not in loaded
+    assert ("concurrent.futures.process" in loaded) == ("--parallel" in argv)
 
 
 def _bounded_child():
