@@ -271,6 +271,14 @@ class TestCli:
         assert run_cli(argv)[1] == run_cli(argv)[1]
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 # what a subcommand may load, checked in a fresh interpreter for each argv
 LOADED_BY = [
     (["count", "ssyt", "--shape", "3,2", "--max-entry", "3"], None),
@@ -294,13 +302,10 @@ LOADED_BY = [
 
 @pytest.mark.parametrize("argv, stdin", LOADED_BY, ids=[" ".join(a) for a, _ in LOADED_BY])
 def test_each_subcommand_loads_only_what_it_runs(argv, stdin):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     code = ("import json, sys, qcrystals.cli as c; c.main(sys.argv[1:]); "
             "print(json.dumps(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     command = argv[0]
@@ -322,11 +327,8 @@ def _bounded_child():
 
 
 def _run_bounded_child(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run([sys.executable, "-m", "qcrystals.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60,
+                          capture_output=True, text=True, env=_src_env(), timeout=60,
                           preexec_fn=_bounded_child)
 
 
