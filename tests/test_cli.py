@@ -302,7 +302,7 @@ LOADED_BY = [
 
 @pytest.mark.parametrize("argv, stdin", LOADED_BY, ids=[" ".join(a) for a, _ in LOADED_BY])
 def test_each_subcommand_loads_only_what_it_runs(argv, stdin):
-    code = ("import json, sys, qcrystals.cli as c; c.main(sys.argv[1:]); "
+    code = ("import json, sys, qcrystals.cli as c; assert c.main(sys.argv[1:]) == 0; "
             "print(json.dumps(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
                           capture_output=True, text=True, env=_src_env(), timeout=120)
