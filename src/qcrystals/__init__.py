@@ -36,12 +36,13 @@ _EXPORTS_BY_MODULE = {
         rsk_of_rot skew_from_rows""",
     "decomposition": """
         QuasicrystalClass Subcomponent
-        canonical_quasicrystal check_descent_composition_conditions count_bm
-        count_ssyt_formula decompose kostka subcomponent_sink
-        verify_subcomponent_iso weight_multiplicity_in_subcomponent""",
+        canonical_quasicrystal count_bm count_ssyt_formula decompose kostka
+        subcomponent_sink verify_subcomponent_iso
+        weight_multiplicity_in_subcomponent""",
     "skeleton": """
         DualEquivalenceGraph SkeletonGraph
-        build_skeleton check_dual_equivalence_conjecture check_evac_duality
+        build_skeleton check_descent_composition_conditions
+        check_dual_equivalence_conjecture check_evac_duality
         check_reordering_conjecture check_skeleton_strata classify_subgraph
         dual_equivalence_graph dual_equivalence_involution
         induced_by_descent_count skeleton_stable""",

@@ -220,50 +220,37 @@ def cmd_rsk(args, parser):
     return 0
 
 
-def _theorem_job(payload):
-    from . import verify
-    name, max_size = payload
-    report = verify.run_theorem_suite(name, max_size)
-    return name, report
-
-
-def _conjecture_job(payload):
-    from . import verify
-    name, max_size = payload
-    reports = verify.run_conjecture_suite(name, max_size)
-    return name, reports
-
-
 def cmd_check(args, parser):
     if args.max_size < 1:
         parser.error(f"--max-size must be >= 1, got {args.max_size}")
+    from itertools import repeat
     from . import verify
     which = args.which
     results = {"theorems": [], "conjectures": []}
-    theorem_jobs = [(name, args.max_size) for name, _ in verify.THEOREM_SUITES] \
+    theorems = [name for name, _ in verify.THEOREM_SUITES] \
         if which in ("theorems", "all") else []
-    conjecture_jobs = [(name, args.max_size) for name in verify.CONJECTURE_SUITES] \
-        if which in ("conjectures", "all") else []
+    conjectures = list(verify.CONJECTURE_SUITES) if which in ("conjectures", "all") else []
+    sizes = repeat(args.max_size)
 
     if args.parallel:
         # imported here: multiprocessing costs every other command 1.8 MB
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
-            theorem_out = list(pool.map(_theorem_job, theorem_jobs))
-            conjecture_out = list(pool.map(_conjecture_job, conjecture_jobs))
+            theorem_out = list(pool.map(verify.run_theorem_suite, theorems, sizes))
+            conjecture_out = list(pool.map(verify.run_conjecture_suite, conjectures, sizes))
     else:
-        theorem_out = [_theorem_job(job) for job in theorem_jobs]
-        conjecture_out = [_conjecture_job(job) for job in conjecture_jobs]
+        theorem_out = map(verify.run_theorem_suite, theorems, sizes)
+        conjecture_out = map(verify.run_conjecture_suite, conjectures, sizes)
 
     all_ok = True
-    for name, report in theorem_out:
+    for name, report in zip(theorems, theorem_out):
         results["theorems"].append({
             "suite": name, "name": report.name, "passed": report.passed,
             "details": _jsonable(report.details),
         })
         all_ok = all_ok and report.passed
         print(f"theorem {report.summary()}", file=sys.stderr)
-    for name, reports in conjecture_out:
+    for name, reports in zip(conjectures, conjecture_out):
         entries = [{"name": r.name, "passed": r.passed, "details": _jsonable(r.details)}
                    for r in reports]
         consistent = all(r.passed for r in reports)

@@ -310,50 +310,3 @@ def weight_multiplicity_in_subcomponent(sub, mu) -> int:
             return 0
     return 1
 
-
-# ---------------------------------------------------------------------------
-# which compositions occur for a shape
-
-@dataclass(frozen=True)
-class DescentConditionsReport:
-    shape: Partition
-    alpha: Composition
-    conditions: tuple[bool, ...]
-    all_conditions_pass: bool
-    occurs: bool
-    multiplicity: int
-    notes: tuple[str, ...]
-
-
-def check_descent_composition_conditions(shape: Partition, alpha: Composition,
-                                         n: int | None = None) -> DescentConditionsReport:
-    """Evaluate the five necessary conditions for alpha to occur for the shape.
-
-    The conditions are necessary but not sufficient; the report also says
-    whether alpha actually occurs (some standard tableau has it as descent
-    composition) and with what multiplicity.
-    """
-    shape = check_partition(shape)
-    alpha = check_composition(alpha)
-    ell, s = len(shape), len(alpha)
-    m = sum(shape)
-    notes = []
-
-    cond1 = all(1 <= p <= shape[0] for p in alpha)
-    padded = list(shape) + [0] * max(0, s - ell)
-    cond2 = all(sum(alpha[:j]) <= sum(padded[:j]) for j in range(1, s + 1))
-    cond3 = s <= (m - shape[0]) + 1
-    cond4 = ell <= s and (n is None or s <= n)
-    if n is None:
-        notes.append("condition 4's upper bound s <= n skipped: no ambient n given")
-    cond5 = s <= m
-    notes.append("condition 5 implemented as s <= |shape| (cell count); "
-                 "the bound's constant is otherwise unspecified")
-
-    multiplicity = sum(1 for comp in syt_descent_compositions(shape) if comp == alpha)
-    conditions = (cond1, cond2, cond3, cond4, cond5)
-    return DescentConditionsReport(
-        shape=shape, alpha=alpha, conditions=conditions,
-        all_conditions_pass=all(conditions),
-        occurs=multiplicity > 0, multiplicity=multiplicity,
-        notes=tuple(notes))

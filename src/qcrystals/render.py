@@ -60,45 +60,6 @@ def crystal_to_json(G: CrystalGraph) -> str:
     return json.dumps(payload)
 
 
-def _letters(xs, n) -> bool:
-    """Whether xs is a JSON array of letters 1..n."""
-    return isinstance(xs, list) and all(type(x) is int and 1 <= x <= n for x in xs)
-
-
-def crystal_from_json(text: str) -> CrystalGraph:
-    """The graph crystal_to_json wrote; its vertices must be all semistandard
-    tableaux or all words, with entries at most max_entry."""
-    from .crystal import CrystalGraph
-    data = json.loads(text)
-    n, raw = data["max_entry"], data["vertices"]
-    if type(n) is not int:
-        raise InvalidParameters(f"max_entry {n!r} is not an integer")
-    tableaux = all(isinstance(v, list) and v and all(_letters(row, n) for row in v)
-                   for v in raw)
-    if tableaux and all(is_semistandard(v) for v in raw):
-        vertices = tuple(map(from_rows, raw))
-    elif not tableaux and all(_letters(v, n) for v in raw):
-        vertices = tuple(map(tuple, raw))
-    else:
-        raise InvalidParameters(
-            f"vertices must be all semistandard tableaux or all words over 1..{n}")
-    edges = tuple((u, v, i) for u, v, i in data["edges"])
-    indices = range(len(vertices))
-    for u, v, i in edges:
-        if u not in indices or v not in indices:
-            raise InvalidParameters(
-                f"edge {[u, v, i]} does not join two of the {len(vertices)} vertices")
-    source = data["source"]
-    if source is not None and source not in indices:
-        raise InvalidParameters(f"source {source!r} is not a vertex index")
-    return CrystalGraph(
-        vertices=vertices,
-        edges=edges,
-        source=source,
-        max_entry=n,
-    )
-
-
 def _to_dot(header, vertices, kind, arrow, edges, fill) -> str:
     """DOT text: the header lines, a line per vertex, filled where fill maps
     its index to a color, and a line per edge of vertex indices."""

@@ -135,10 +135,6 @@ def skew_from_rows(inner, rows) -> SkewTableau:
                        tuple(tuple(int(v) for v in row) for row in rows))
 
 
-def straight_as_skew(T: Tableau) -> SkewTableau:
-    return SkewTableau((0,) * len(T), T)
-
-
 def skew_reading_word(S: SkewTableau) -> Word:
     return tuple(v for row in reversed(S.rows) for v in row)
 

@@ -27,10 +27,11 @@ reading word of Q; tableaux is the one module that maps standard labels to
 band letters.
 
 The checkers at the bottom compare the skeleton against dual equivalence
-graphs and probe the structure of its fixed-descent-count strata; their
-results are reports, never assertions, so runs on new territory cannot fail
-a build. Report, defined here, is the one report type of the package: the
-verify suites return it too.
+graphs, probe the structure of its fixed-descent-count strata and ask which
+compositions occur for a shape; their results are reports, never
+assertions, so runs on new territory cannot fail a build. Report, defined
+here, is the one result type of the package: every checker and every
+verify suite returns it, and verify's two runners fill in its wall time.
 """
 
 from collections import Counter
@@ -41,10 +42,10 @@ from .decomposition import decompose, subcomponent_sink
 from .errors import InvalidParameters
 from .rsk import evacuate
 from .tableaux import (
-    Partition, Tableau,
-    band_filling, check_partition, compositions_of, descent_composition,
-    enumerate_syt, enumerate_syt_by_parts, is_standard, reading_word,
-    standardize_word, syt_descent_compositions, tableau_size,
+    Composition, Partition, Tableau,
+    band_filling, check_composition, check_partition, compositions_of,
+    descent_composition, enumerate_syt, enumerate_syt_by_parts, is_standard,
+    reading_word, standardize_word, syt_descent_compositions, tableau_size,
 )
 
 
@@ -377,6 +378,37 @@ def check_reordering_conjecture(m: int) -> Report:
         passed=not missing,
         details=(("compositions_checked", 2 ** (m - 1)),
                  ("missing", tuple(missing))))
+
+
+def check_descent_composition_conditions(shape: Partition, alpha: Composition,
+                                         n: int | None = None) -> Report:
+    """Evaluate the five necessary conditions for alpha to occur for the shape.
+
+    The conditions are necessary but not sufficient. details holds the five
+    verdicts, in order, under "conditions", and under "multiplicity" how
+    many standard tableaux of the shape have alpha as descent composition;
+    passed means no condition fails while alpha occurs. With s the number
+    of parts of alpha, condition 4's upper bound s <= n is checked only
+    when an ambient alphabet n is given, and condition 5 is s <= |shape|,
+    the cell count: the bound's constant is otherwise unspecified.
+    """
+    shape = check_partition(shape)
+    alpha = check_composition(alpha)
+    ell, s = len(shape), len(alpha)
+    m = sum(shape)
+    padded = list(shape) + [0] * max(0, s - ell)
+    conditions = (
+        all(1 <= p <= shape[0] for p in alpha),
+        all(sum(alpha[:j]) <= sum(padded[:j]) for j in range(1, s + 1)),
+        s <= (m - shape[0]) + 1,
+        ell <= s and (n is None or s <= n),
+        s <= m,
+    )
+    multiplicity = syt_descent_compositions(shape).count(alpha)
+    return Report(
+        name=f"descent composition conditions for {alpha} on {shape}",
+        passed=all(conditions) or multiplicity == 0,
+        details=(("conditions", conditions), ("multiplicity", multiplicity)))
 
 
 def check_evac_duality(shape: Partition, n: int) -> Report:

@@ -8,6 +8,7 @@ subtracting that many standard-tableau expansions strictly lowers the
 leading support, so the loop terminates within one pass per composition.
 """
 
+import operator
 import re
 from functools import cache
 
@@ -23,14 +24,22 @@ from .decomposition import count_ssyt_formula
 
 
 class _Expansion:
-    """Shared container: terms maps index tuples to non-zero int coefficients."""
+    """Shared container: terms maps index tuples to non-zero int coefficients.
+
+    InvalidParameters for a coefficient that operator.index rejects, such as
+    a float, and for + or - between different bases.
+    """
 
     def __init__(self, terms: dict):
         clean = {}
         degree = None
         for support, coeff in terms.items():
             support = self._check_support(support)
-            coeff = int(coeff)
+            try:
+                coeff = operator.index(coeff)
+            except TypeError:
+                raise InvalidParameters(
+                    f"coefficient {coeff!r} of {support} is not an integer") from None
             if coeff == 0:
                 continue
             if degree is None:
@@ -55,15 +64,19 @@ class _Expansion:
     def __bool__(self):
         return bool(self.terms)
 
-    def __add__(self, other):
+    def _combine(self, other, scale: int):
+        if type(other) is not type(self):
+            raise InvalidParameters(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}")
         merged = dict(self.terms)
-        _add_terms(merged, other.terms.items(), 1)
+        _add_terms(merged, other.terms.items(), scale)
         return type(self)(merged)
 
+    def __add__(self, other):
+        return self._combine(other, 1)
+
     def __sub__(self, other):
-        merged = dict(self.terms)
-        _add_terms(merged, other.terms.items(), -1)
-        return type(self)(merged)
+        return self._combine(other, -1)
 
     def __rmul__(self, scalar: int):
         return type(self)({k: scalar * v for k, v in self.terms.items()})

@@ -4,7 +4,9 @@ Two tiers: theorem suites assert facts the library is built on and must all
 pass; conjecture suites produce structured reports that are never fatal, so
 runs beyond the verified envelope simply record what they find. Every suite
 returns skeleton.Report, the package's one report type, with a deterministic
-result payload and its wall time.
+result payload. The two runners, run_theorem_suite and run_conjecture_suite,
+are the one place a suite is timed: they fill in each report's wall time,
+and a suite called directly reports 0.0.
 """
 
 import random
@@ -22,6 +24,7 @@ from .decomposition import (
     verify_subcomponent_iso, weight_matching_bijection,
     weight_multiplicity_in_subcomponent,
 )
+from .errors import InvalidParameters
 from .rsk import (
     evacuate, jdt_rectify, rot_word, rsk, rsk_inverse,
     rsk_of_rot, skew_from_rows, skew_reading_word,
@@ -45,9 +48,8 @@ from .tableaux import (
 )
 
 
-def _report(name, failures, started):
-    payload = (("failures", tuple(failures[:20])),)
-    return Report(name, not failures, payload, time.perf_counter() - started)
+def _report(name, failures):
+    return Report(name, not failures, (("failures", tuple(failures[:20])),))
 
 
 def _shapes(max_size):
@@ -64,7 +66,6 @@ def _moment(weights) -> int:
 
 def parsing_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     """Bands, standardization, descent compositions, band-filling sources."""
-    started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         syt = enumerate_syt(shape)
@@ -108,13 +109,11 @@ def parsing_suite(max_size: int = 6, alphabet: int = 4) -> Report:
             failures.append(("word standardization not a permutation", w))
         if word_descent_composition(std) != word_descent_composition(w):
             failures.append(("word standardization changes descents", w))
-    return _report(f"parsing/standardization up to size {max_size}", failures,
-                   started=started)
+    return _report(f"parsing/standardization up to size {max_size}", failures)
 
 
 def refinement_order_suite(max_size: int = 8) -> Report:
     """The refinement relation is a partial order on compositions of fixed size."""
-    started = time.perf_counter()
     failures = []
     for m in range(1, max_size + 1):
         comps = compositions_of(m)
@@ -131,13 +130,11 @@ def refinement_order_suite(max_size: int = 8) -> Report:
                 for c in finer[b]:
                     if not refines(a, c):
                         failures.append(("not transitive", a, b, c))
-    return _report(f"refinement partial order up to size {max_size}", failures,
-                   started=started)
+    return _report(f"refinement partial order up to size {max_size}", failures)
 
 
 def crystal_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     """Generation matches enumeration; operator and degree laws hold."""
-    started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         for n in range(1, alphabet + 1):
@@ -169,12 +166,11 @@ def crystal_suite(max_size: int = 6, alphabet: int = 4) -> Report:
                     elif i in out:
                         failures.append(("phantom edge", T, i))
     return _report(f"crystal generation up to size {max_size}, alphabet {alphabet}",
-                   failures, started=started)
+                   failures)
 
 
 def decomposition_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     """Partition into classes, sources, sinks, heights, one-row isomorphisms."""
-    started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         m = sum(shape)
@@ -236,12 +232,11 @@ def decomposition_suite(max_size: int = 6, alphabet: int = 4) -> Report:
                         failures.append(("same-type classes not isomorphic",
                                          shape, n, alpha))
     return _report(f"class decomposition up to size {max_size}, alphabet {alphabet}",
-                   failures, started=started)
+                   failures)
 
 
 def counting_suite(max_size: int = 7, alphabet: int = 6) -> Report:
     """Count formula and one-row counts against brute-force enumeration."""
-    started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         for n in range(1, alphabet + 1):
@@ -257,12 +252,11 @@ def counting_suite(max_size: int = 7, alphabet: int = 6) -> Report:
             if count_bm(m, k) != len(enumerate_ssyt((m,), k)):
                 failures.append(("one-row count vs brute force", m, k))
     return _report(f"counting formulas up to size {max_size}, alphabet {alphabet}",
-                   failures, started=started)
+                   failures)
 
 
 def kostka_suite(max_size: int = 7) -> Report:
     """Descent-set Kostka formula against brute-force weight counting."""
-    started = time.perf_counter()
     failures = []
     for m in range(1, max_size + 1):
         comps = compositions_of(m)
@@ -275,12 +269,11 @@ def kostka_suite(max_size: int = 7) -> Report:
                 padded = mu + (0,) * (m - len(mu))
                 if kostka(shape, mu) != tally.get(padded, 0):
                     failures.append(("kostka mismatch", shape, mu))
-    return _report(f"Kostka numbers up to size {max_size}", failures, started=started)
+    return _report(f"Kostka numbers up to size {max_size}", failures)
 
 
 def rsk_suite(random_words: int = 300, seed: int = 7) -> Report:
     """Insertion, descents, rotation, evacuation identities on words."""
-    started = time.perf_counter()
     failures = []
 
     def check_word(w, n):
@@ -328,7 +321,7 @@ def rsk_suite(random_words: int = 300, seed: int = 7) -> Report:
             addresses.add(component.index_of(w))
         if len(addresses) != 1:
             failures.append(("plactic class position", P))
-    return _report("insertion and rotation identities", failures, started=started)
+    return _report("insertion and rotation identities", failures)
 
 
 def _all_words(n, max_len):
@@ -341,7 +334,6 @@ def _all_words(n, max_len):
 
 def jdt_suite(samples: int = 120, seed: int = 23) -> Report:
     """Rectification is order-independent and agrees with row insertion."""
-    started = time.perf_counter()
     failures = []
     rng = random.Random(seed)
     for _ in range(samples):
@@ -358,7 +350,7 @@ def jdt_suite(samples: int = 120, seed: int = 23) -> Report:
                 failures.append(("slide order dependence", S))
         if rsk(skew_reading_word(S)).P != base:
             failures.append(("rectification vs insertion", S))
-    return _report("jeu de taquin slides", failures, started=started)
+    return _report("jeu de taquin slides", failures)
 
 
 def _random_skew(rng, inner):
@@ -390,7 +382,6 @@ def _random_skew(rng, inner):
 
 def evacuation_suite(max_size: int = 5, alphabet: int = 4) -> Report:
     """Involution, descent reversal, anti-automorphism, class duality."""
-    started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         for n in range(len(shape), alphabet + 1):
@@ -416,8 +407,7 @@ def evacuation_suite(max_size: int = 5, alphabet: int = 4) -> Report:
             duality = check_evac_duality(shape, n)
             if not duality.passed:
                 failures.append(("class duality", shape, n, duality.details))
-    return _report(f"evacuation up to size {max_size}, alphabet {alphabet}",
-                   failures, started=started)
+    return _report(f"evacuation up to size {max_size}, alphabet {alphabet}", failures)
 
 
 def _skeleton_by_crystal(shape, n):
@@ -453,7 +443,6 @@ def skeleton_suite(max_size: int = 6) -> Report:
     S+1 and S+2 it gives the skeleton it gives at S, and below S that
     skeleton induced on the tableaux with at most n parts.
     """
-    started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         S = max_descent_composition_length(shape)
@@ -482,13 +471,11 @@ def skeleton_suite(max_size: int = 6) -> Report:
             dv = len(descent_composition(v))
             if abs(du - dv) > 1:
                 failures.append(("descent counts differ by more than 1", shape, u, v))
-    return _report(f"skeleton stability up to size {max_size}", failures,
-                   started=started)
+    return _report(f"skeleton stability up to size {max_size}", failures)
 
 
 def dual_equivalence_suite(max_size: int = 6) -> Report:
     """The elementary maps are involutions with standard images."""
-    started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         m = sum(shape)
@@ -504,13 +491,11 @@ def dual_equivalence_suite(max_size: int = 6) -> Report:
                                                                      pos[i + 1])
                 if between != (image == T):
                     failures.append(("fixed-point rule", T, i))
-    return _report(f"dual equivalence involutions up to size {max_size}",
-                   failures, started=started)
+    return _report(f"dual equivalence involutions up to size {max_size}", failures)
 
 
 def monomial_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     """Class monomials, fundamental monomials, and full crystal monomials agree."""
-    started = time.perf_counter()
     failures = []
     for shape in _shapes(max_size):
         for n in range(len(shape), alphabet + 1):
@@ -536,13 +521,11 @@ def monomial_suite(max_size: int = 6, alphabet: int = 4) -> Report:
                 expected = QuasicrystalClass(m, s, n).vertex_count if n >= s else 0
                 if count != expected:
                     failures.append(("fundamental monomial count", alpha, n))
-    return _report(f"monomial bridge up to size {max_size}, alphabet {alphabet}",
-                   failures, started=started)
+    return _report(f"monomial bridge up to size {max_size}, alphabet {alphabet}", failures)
 
 
 def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Report:
     """Exact recovery of random positive Schur combinations."""
-    started = time.perf_counter()
     failures = []
     for m in range(1, max_degree + 1):
         for shape in partitions_of(m):
@@ -568,7 +551,7 @@ def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Rep
             pass
         except Exception:
             failures.append(("wrong error type", alpha))
-    return _report("fundamental-to-Schur round trips", failures, started=started)
+    return _report("fundamental-to-Schur round trips", failures)
 
 
 THEOREM_SUITES = (
@@ -594,28 +577,34 @@ _SIZE_CAPS = {"refinement-order": 8, "counting": 7, "kostka": 7,
               "evacuation": 5, "rsk": None, "jdt": None, "schurify": None}
 
 
+def _timed(check, *args, **kwargs) -> Report:
+    """The report of check(*args, **kwargs) with the seconds the call took."""
+    started = time.perf_counter()
+    report = check(*args, **kwargs)
+    return replace(report, wall_time=time.perf_counter() - started)
+
+
 def run_theorem_suite(name: str, max_size: int) -> Report:
-    fn = dict(THEOREM_SUITES)[name]
+    """The named theorem suite at max_size, or at its size cap, timed here."""
+    suites = dict(THEOREM_SUITES)
+    if name not in suites:
+        raise InvalidParameters(f"unknown theorem suite {name!r}")
     cap = _SIZE_CAPS.get(name, max_size)
-    return fn() if cap is None else fn(max_size=min(max_size, cap))
+    size = {} if cap is None else {"max_size": min(max_size, cap)}
+    return _timed(suites[name], **size)
+
+
+# Each conjecture suite's checker, and the inputs it runs on up to a size.
+CONJECTURE_SUITES = {
+    "reordering": (check_reordering_conjecture, lambda size: range(1, size + 1)),
+    "skeleton-strata": (check_skeleton_strata, _shapes),
+    "dual-equivalence-containment": (check_dual_equivalence_conjecture, _shapes),
+}
 
 
 def run_conjecture_suite(name: str, max_size: int) -> list[Report]:
-    """One report per size or shape, each timed around its checker call."""
-    if name == "reordering":
-        check, inputs = check_reordering_conjecture, range(1, max_size + 1)
-    elif name == "skeleton-strata":
-        check, inputs = check_skeleton_strata, _shapes(max_size)
-    elif name == "dual-equivalence-containment":
-        check, inputs = check_dual_equivalence_conjecture, _shapes(max_size)
-    else:
-        raise ValueError(f"unknown conjecture suite {name}")
-    reports = []
-    for value in inputs:
-        started = time.perf_counter()
-        report = check(value)
-        reports.append(replace(report, wall_time=time.perf_counter() - started))
-    return reports
-
-
-CONJECTURE_SUITES = ("reordering", "skeleton-strata", "dual-equivalence-containment")
+    """One report per size or shape up to max_size, each timed here."""
+    if name not in CONJECTURE_SUITES:
+        raise InvalidParameters(f"unknown conjecture suite {name!r}")
+    check, inputs = CONJECTURE_SUITES[name]
+    return [_timed(check, value) for value in inputs(max_size)]

@@ -5,15 +5,15 @@ import pytest
 from qcrystals import decomposition
 from qcrystals.crystal import CrystalGraph, generate_crystal
 from qcrystals.decomposition import (
-    QuasicrystalClass, canonical_quasicrystal,
-    check_descent_composition_conditions, count_bm, count_ssyt_formula,
+    QuasicrystalClass, canonical_quasicrystal, count_bm, count_ssyt_formula,
     decompose, descent_count_census, kostka, subcomponent_longest_path,
     subcomponent_sink, verify_subcomponent_iso, weight_matching_bijection,
     weight_multiplicity_in_subcomponent,
 )
 from qcrystals.errors import InternalError, InvalidParameters
+from qcrystals.skeleton import check_descent_composition_conditions
 from qcrystals.tableaux import (
-    descent_composition, enumerate_ssyt, highest_weight_tableau,
+    compositions_of, descent_composition, enumerate_ssyt, highest_weight_tableau,
     hook_content_count, hook_length_count, partitions_of,
     syt_descent_compositions, weight_of,
 )
@@ -256,25 +256,40 @@ class TestFullInvariantDomain:
 
 class TestDescentConditions:
     def test_conditions_pass_but_absent(self):
-        report = check_descent_composition_conditions((3, 3), (1, 2, 3))
-        assert report.all_conditions_pass
-        assert not report.occurs
-        assert report.multiplicity == 0
+        details = dict(check_descent_composition_conditions((3, 3), (1, 2, 3)).details)
+        assert all(details["conditions"])
+        assert details["multiplicity"] == 0
 
     def test_occurs_twice(self):
-        report = check_descent_composition_conditions((4, 3), (2, 3, 2))
-        assert report.all_conditions_pass
-        assert report.occurs and report.multiplicity == 2
+        details = dict(check_descent_composition_conditions((4, 3), (2, 3, 2)).details)
+        assert all(details["conditions"])
+        assert details["multiplicity"] == 2
 
     def test_shape_itself_always_occurs(self):
         for m in range(1, 7):
             for shape in partitions_of(m):
-                report = check_descent_composition_conditions(shape, shape)
-                assert report.occurs and report.multiplicity == 1
+                details = dict(check_descent_composition_conditions(shape, shape).details)
+                assert details["multiplicity"] == 1
 
     def test_necessity_on_occurring_types(self):
         for shape in [(3, 2), (4, 3), (2, 2, 1)]:
             for alpha in set(syt_descent_compositions(shape)):
                 report = check_descent_composition_conditions(shape, alpha,
                                                               n=sum(shape))
-                assert report.all_conditions_pass
+                assert all(dict(report.details)["conditions"])
+
+    def test_every_composition_up_to_size_seven(self):
+        # the conditions are necessary: none fails on a composition that
+        # occurs, and the multiplicity is the census of descent compositions
+        pairs = failing = 0
+        for m in range(1, 8):
+            for shape in partitions_of(m):
+                census = Counter(syt_descent_compositions(shape))
+                for alpha in compositions_of(m):
+                    report = check_descent_composition_conditions(shape, alpha)
+                    details = dict(report.details)
+                    assert report.passed, (shape, alpha)
+                    assert details["multiplicity"] == census[alpha]
+                    pairs += 1
+                    failing += not all(details["conditions"])
+        assert (pairs, failing) == (1481, 1039)

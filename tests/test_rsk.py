@@ -7,7 +7,7 @@ from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidPair
 from qcrystals.rsk import (
     evacuate, jdt_rectify, rot_word,
     rotate180_complement, rsk, rsk_inverse, rsk_of_rot, skew_from_rows,
-    skew_reading_word, straight_as_skew,
+    skew_reading_word,
 )
 from qcrystals.tableaux import (
     descent_composition, enumerate_ssyt, partitions_of, reading_word,
@@ -94,7 +94,7 @@ class TestJdt:
 
     def test_straight_shape_fixed(self):
         t = T([1, 1, 2], [2, 3])
-        assert jdt_rectify(straight_as_skew(t)) == t
+        assert jdt_rectify(skew_from_rows((0,) * len(t), t)) == t
 
     def test_order_independent(self):
         rng = random.Random(8)

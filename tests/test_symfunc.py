@@ -45,6 +45,18 @@ class TestExpansionContainers:
         assert (a + b).terms == {(2, 1): 3, (1, 2): 1}
         assert (b - 2 * a).terms == {(1, 2): 1}
 
+    def test_sum_across_bases_rejected(self):
+        with pytest.raises(InvalidParameters):
+            FExpansion({(2, 1): 1}) + SchurExpansion({(2, 1): 1})
+
+    def test_fractional_coefficient_rejected(self):
+        with pytest.raises(InvalidParameters):
+            FExpansion({(1,): 1.7})
+
+    def test_fractional_scalar_rejected(self):
+        with pytest.raises(InvalidParameters):
+            2.5 * FExpansion({(1,): 1})
+
 
 class TestSchurToF:
     def test_expansion_of_43(self):

@@ -1,4 +1,7 @@
+import pytest
+
 from qcrystals import verify
+from qcrystals.errors import InvalidParameters
 from qcrystals.skeleton import check_reordering_conjecture
 
 
@@ -38,3 +41,20 @@ class TestConjectureSuites:
         except ValueError:
             return
         raise AssertionError("unknown suite accepted")
+
+
+class TestRunners:
+    def test_unknown_names_rejected(self):
+        with pytest.raises(InvalidParameters):
+            verify.run_theorem_suite("nope", 3)
+        with pytest.raises(InvalidParameters):
+            verify.run_conjecture_suite("nope", 3)
+
+    def test_runners_time_every_report(self):
+        # the runners are where suites are timed; a direct call is untimed
+        for name, _ in verify.THEOREM_SUITES:
+            assert verify.run_theorem_suite(name, 3).wall_time > 0, name
+        for name in verify.CONJECTURE_SUITES:
+            reports = verify.run_conjecture_suite(name, 3)
+            assert reports and all(r.wall_time > 0 for r in reports), name
+        assert verify.refinement_order_suite(max_size=3).wall_time == 0.0
