@@ -391,9 +391,12 @@ def check_descent_composition_conditions(shape: Partition, alpha: Composition,
     of parts of alpha, condition 4's upper bound s <= n is checked only
     when an ambient alphabet n is given, and condition 5 is s <= |shape|,
     the cell count: the bound's constant is otherwise unspecified.
+    InvalidParameters unless n is None or an integer >= 1.
     """
     shape = check_partition(shape)
     alpha = check_composition(alpha)
+    if n is not None and not (isinstance(n, int) and n >= 1):
+        raise InvalidParameters(f"alphabet n must be an integer >= 1, got {n!r}")
     ell, s = len(shape), len(alpha)
     m = sum(shape)
     padded = list(shape) + [0] * max(0, s - ell)

@@ -6,6 +6,21 @@ fundamental side back to Schur functions peels off the lexicographically
 greatest support term, which for a symmetric input is always a partition;
 subtracting that many standard-tableau expansions strictly lowers the
 leading support, so the loop terminates within one pass per composition.
+
+The coefficient of F_alpha in s_shape counts the standard tableaux of the
+shape with descent composition alpha. That table is counted by removing
+corners, without listing tableaux: in a standard tableau with m cells, m
+sits in a corner, and m-1 is a descent iff m's row is below the row of
+m-1. So the counts by (descent set, row of the largest entry) of a shape
+are the sums, over its corners, of those of the shape minus the corner.
+tableaux.syt_descent_compositions, which lists the tableaux, stays as the
+independent check of this table in the tests and verify.schurify_suite.
+
+The public constructors FExpansion(...) and SchurExpansion(...), and so
+parse_f_expansion and parse_schur_expansion, check every support and
+coefficient. Results the module builds itself (+, -, scalar *, schur_to_f,
+schur_expansion_to_f, schurify) come from checked expansions or from the
+table, and are wrapped by _Expansion._trusted without a second check.
 """
 
 import operator
@@ -13,21 +28,22 @@ import re
 from functools import cache
 
 from .errors import (
-    DegreeMismatch, EmptyExpansion, InternalError, InvalidParameters, NotSymmetric,
+    DegreeMismatch, EmptyExpansion, EmptyInput, InternalError, InvalidParameters,
+    NotSymmetric,
 )
 from .tableaux import (
     Composition, Partition,
-    check_composition, check_partition, composition_to_descent_set, is_partition,
-    syt_descent_compositions,
+    check_composition, check_partition, composition_to_descent_set,
+    descent_set_to_composition, is_partition,
 )
-from .decomposition import count_ssyt_formula
 
 
 class _Expansion:
     """Shared container: terms maps index tuples to non-zero int coefficients.
 
-    InvalidParameters for a coefficient that operator.index rejects, such as
-    a float, and for + or - between different bases.
+    InvalidParameters for a coefficient or scalar factor that operator.index
+    rejects, such as a float, and for + or - between different bases;
+    DegreeMismatch for + or - between non-zero expansions of two degrees.
     """
 
     def __init__(self, terms: dict):
@@ -51,6 +67,15 @@ class _Expansion:
         self.terms = {k: v for k, v in clean.items() if v}
         self.degree = degree
 
+    @classmethod
+    def _trusted(cls, terms: dict, degree: int | None):
+        """Wrap terms built inside this module: valid supports of the given
+        degree and no zero coefficient. The degree of an empty result is None."""
+        expansion = cls.__new__(cls)
+        expansion.terms = terms
+        expansion.degree = degree if terms else None
+        return expansion
+
     @staticmethod
     def _check_support(support):
         raise NotImplementedError
@@ -68,9 +93,12 @@ class _Expansion:
         if type(other) is not type(self):
             raise InvalidParameters(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.terms and other.terms and self.degree != other.degree:
+            raise DegreeMismatch(
+                f"mixed degrees {self.degree} and {other.degree} in one expansion")
         merged = dict(self.terms)
         _add_terms(merged, other.terms.items(), scale)
-        return type(self)(merged)
+        return self._trusted(merged, self.degree if self.terms else other.degree)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -78,8 +106,16 @@ class _Expansion:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __rmul__(self, scalar: int):
-        return type(self)({k: scalar * v for k, v in self.terms.items()})
+    def __mul__(self, scalar: int):
+        try:
+            scalar = operator.index(scalar)
+        except TypeError:
+            raise InvalidParameters(f"scalar {scalar!r} is not an integer") from None
+        if not scalar:
+            return self._trusted({}, None)
+        return self._trusted({k: scalar * v for k, v in self.terms.items()}, self.degree)
+
+    __rmul__ = __mul__
 
 
 class FExpansion(_Expansion):
@@ -100,10 +136,37 @@ class SchurExpansion(_Expansion):
 
 @cache
 def _schur_to_f_terms(shape: Partition) -> tuple[tuple[Composition, int], ...]:
-    census: dict[Composition, int] = {}
-    for comp in syt_descent_compositions(shape):
-        census[comp] = census.get(comp, 0) + 1
-    return tuple(sorted(census.items()))
+    """Sorted (descent composition, number of standard tableaux) pairs.
+
+    Grows the shape one cell at a time from (1,), keeping, for each
+    sub-shape of the current size, the counts keyed by (descent mask, row of
+    the largest entry); bit i-1 of a mask marks descent i. The table lives
+    for this call only, one size at a time.
+    """
+    if not shape:
+        raise EmptyInput("empty tableau")
+    level = {(1,): {(0, 0): 1}}
+    for k in range(2, sum(shape) + 1):
+        bit = 1 << (k - 2)  # descent k-1: k sits in a lower row than k-1
+        grown: dict[Partition, dict[tuple[int, int], int]] = {}
+        for sub, counts in level.items():
+            for r in range(min(len(sub) + 1, len(shape))):
+                width = sub[r] + 1 if r < len(sub) else 1
+                if width > shape[r] or (r and width > sub[r - 1]):
+                    continue
+                target = grown.setdefault(sub[:r] + (width,) + sub[r + 1:], {})
+                for (mask, row), count in counts.items():
+                    key = (mask | bit if r > row else mask, r)
+                    target[key] = target.get(key, 0) + count
+        level = grown
+    by_mask: dict[int, int] = {}
+    for (mask, _), count in level[shape].items():
+        by_mask[mask] = by_mask.get(mask, 0) + count
+    m = sum(shape)
+    return tuple(sorted(
+        (descent_set_to_composition([i + 1 for i in range(m - 1) if mask >> i & 1], m),
+         count)
+        for mask, count in by_mask.items()))
 
 
 def _add_terms(terms: dict, census, scale: int) -> None:
@@ -122,7 +185,8 @@ def schur_to_f(shape: Partition) -> FExpansion:
     The coefficient of a composition is the number of standard tableaux of
     the shape having it as descent composition.
     """
-    return FExpansion(dict(_schur_to_f_terms(check_partition(shape))))
+    shape = check_partition(shape)
+    return FExpansion._trusted(dict(_schur_to_f_terms(shape)), sum(shape))
 
 
 def schur_expansion_to_f(g: SchurExpansion) -> FExpansion:
@@ -130,7 +194,7 @@ def schur_expansion_to_f(g: SchurExpansion) -> FExpansion:
     terms: dict[Composition, int] = {}
     for shape, coeff in g.terms.items():
         _add_terms(terms, _schur_to_f_terms(check_partition(shape)), coeff)
-    return FExpansion(terms)
+    return FExpansion._trusted(terms, g.degree)
 
 
 def f_to_monomials(alpha: Composition, n: int) -> list[tuple[int, ...]]:
@@ -185,7 +249,7 @@ def schurify(f: FExpansion) -> SchurExpansion:
     cap = 2 ** (f.degree - 1) + 1 if f.degree is not None else 1
     for _ in range(cap):
         if not work:
-            return SchurExpansion(result)
+            return SchurExpansion._trusted(result, f.degree)
         alpha = max(work)
         if not is_partition(alpha):
             raise NotSymmetric(
@@ -213,6 +277,9 @@ def plethysm_monomial_count(mu: Partition, lam: Partition, n: int) -> int:
     gives as many monomials as tableaux of the outer shape over an alphabet
     of that size.
     """
+    # imported here: decomposition loads the crystal code, which nothing else here runs
+    from .decomposition import count_ssyt_formula
+
     inner = count_ssyt_formula(check_partition(lam), n)
     if inner < 1:
         return 0

@@ -11,6 +11,7 @@ and a suite called directly reports 0.0.
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 from . import skeleton, symfunc
@@ -525,11 +526,18 @@ def monomial_suite(max_size: int = 6, alphabet: int = 4) -> Report:
 
 
 def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Report:
-    """Exact recovery of random positive Schur combinations."""
+    """Exact recovery of random positive Schur combinations.
+
+    Also checks schur_to_f, counted by corner removal, against the tally of
+    descent compositions over the listed standard tableaux of each shape.
+    """
     failures = []
     for m in range(1, max_degree + 1):
         for shape in partitions_of(m):
-            if schurify(schur_to_f(shape)).terms != {shape: 1}:
+            f = schur_to_f(shape)
+            if f.terms != Counter(syt_descent_compositions(shape)):
+                failures.append(("expansion vs standard-tableau listing", shape))
+            if schurify(f).terms != {shape: 1}:
                 failures.append(("single shape round trip", shape))
     rng = random.Random(seed)
     for _ in range(samples):

@@ -298,6 +298,8 @@ def test_each_subcommand_loads_only_what_it_runs(argv, stdin):
         assert not loaded & {"qcrystals.render", "qcrystals.symfunc"}
     if command == "crystal" and "json" in argv:
         assert "hashlib" not in loaded
+    if command == "schurify":
+        assert not loaded & {"qcrystals.crystal", "qcrystals.decomposition"}
     assert ("concurrent.futures.process" in loaded) == ("--parallel" in argv)
 
 

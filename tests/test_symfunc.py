@@ -1,20 +1,23 @@
 import gc
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
 from qcrystals.decomposition import count_ssyt_formula
 from qcrystals.errors import (
-    DegreeMismatch, EmptyExpansion, InvalidParameters, NotSymmetric,
+    DegreeMismatch, EmptyExpansion, EmptyInput, InvalidParameters, NotSymmetric,
 )
 from qcrystals.symfunc import (
     FExpansion, SchurExpansion, f_to_monomials, format_f_expansion,
     format_schur_expansion, is_schur_positive, leading_support,
     parse_f_expansion, parse_schur_expansion, plethysm_monomial_count,
-    schur_expansion_to_f, schur_to_f, schurify,
+    _schur_to_f_terms, schur_expansion_to_f, schur_to_f, schurify,
 )
-from qcrystals.tableaux import compositions_of, enumerate_ssyt, partitions_of, weight_of
+from qcrystals.tableaux import (
+    compositions_of, enumerate_ssyt, partitions_of, syt_descent_compositions, weight_of,
+)
 
 FIG2_EXPANSION = {
     (4, 3): 1, (3, 4): 1, (3, 3, 1): 1, (2, 4, 1): 1, (3, 2, 2): 1,
@@ -56,6 +59,68 @@ class TestExpansionContainers:
     def test_fractional_scalar_rejected(self):
         with pytest.raises(InvalidParameters):
             2.5 * FExpansion({(1,): 1})
+        with pytest.raises(InvalidParameters):
+            FExpansion({(1,): 1}) * 2.5
+
+    def test_scalar_on_either_side(self):
+        f = FExpansion({(2, 1): 1, (1, 2): -3})
+        assert f * 2 == 2 * f == FExpansion({(2, 1): 2, (1, 2): -6})
+        assert (f * 0).terms == {} and (f * 0).degree is None
+
+    def test_sum_of_degrees_rejected(self):
+        with pytest.raises(DegreeMismatch):
+            FExpansion({(2, 1): 1}) + FExpansion({(2,): 1})
+        with pytest.raises(DegreeMismatch):
+            SchurExpansion({(2, 1): 1}) - SchurExpansion({(2,): 1})
+
+    def test_zero_takes_any_degree(self):
+        a = FExpansion({(2, 1): 1})
+        assert (FExpansion({}) + a).degree == (a + FExpansion({})).degree == 3
+        assert (a - a).terms == {} and (a - a).degree is None
+
+
+def _random_terms(rng, supports):
+    return {s: rng.choice([-3, -2, -1, 1, 2, 3])
+            for s in rng.sample(supports, rng.randint(1, min(6, len(supports))))}
+
+
+def _as_checked(expansion):
+    """The terms and degree the validating constructor gives for the same terms."""
+    checked = type(expansion)(dict(expansion.terms))
+    return checked.terms, checked.degree
+
+
+class TestTrustedResults:
+    """Results built without re-validation equal the validating constructor's."""
+
+    def test_arithmetic(self):
+        rng = random.Random(10)
+        for _ in range(200):
+            m = rng.randint(1, 6)
+            cls, supports = rng.choice([(FExpansion, compositions_of(m)),
+                                        (SchurExpansion, partitions_of(m))])
+            a = cls(_random_terms(rng, supports))
+            b = cls(_random_terms(rng, supports))
+            k = rng.randint(-3, 3)
+            for result in (a + b, a - b, k * a, a * k, a - a):
+                assert (result.terms, result.degree) == _as_checked(result)
+
+    def test_changes_of_basis(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            g = SchurExpansion(_random_terms(rng, partitions_of(rng.randint(1, 7))))
+            f = schur_expansion_to_f(g)
+            assert (f.terms, f.degree) == _as_checked(f)
+            back = schurify(f)
+            assert (back.terms, back.degree) == _as_checked(back)
+            assert back == g
+
+    def test_single_shapes(self):
+        for m in range(1, 7):
+            for shape in partitions_of(m):
+                f = schur_to_f(shape)
+                assert (f.terms, f.degree) == _as_checked(f)
+                assert f.degree == m
 
 
 class TestSchurToF:
@@ -67,6 +132,17 @@ class TestSchurToF:
 
     def test_one_column(self):
         assert schur_to_f((1, 1, 1)).terms == {(1, 1, 1): 1}
+
+    def test_table_equals_the_enumeration_tally(self):
+        # the corner-removal census against the listed standard tableaux
+        for m in range(1, 11):
+            for shape in partitions_of(m):
+                tally = Counter(syt_descent_compositions(shape))
+                assert _schur_to_f_terms(shape) == tuple(sorted(tally.items())), shape
+
+    def test_empty_shape_rejected(self):
+        with pytest.raises(EmptyInput):
+            schur_to_f(())
 
     def test_coefficients_positive(self):
         for m in range(1, 7):

@@ -1,6 +1,6 @@
 import pytest
 
-from qcrystals import verify
+from qcrystals import symfunc, verify
 from qcrystals.errors import InvalidParameters
 from qcrystals.skeleton import check_reordering_conjecture
 
@@ -17,6 +17,19 @@ class TestTheoremSuites:
         assert dict(report.details)["failures"] == ()
         assert report.wall_time >= 0
         assert "pass" in report.summary()
+
+
+class TestSchurifySuite:
+    def test_the_suite_catches_a_table_that_still_round_trips(self, monkeypatch):
+        assert verify.schurify_suite(samples=5, max_degree=4).passed
+        # dropping the least term of every table keeps each leading term, so
+        # schurify still inverts schur_to_f; only the listing comparison sees it
+        right = symfunc._schur_to_f_terms
+        monkeypatch.setattr(symfunc, "_schur_to_f_terms",
+                            lambda shape: right(shape)[1:] or right(shape))
+        failures = dict(verify.schurify_suite(samples=5, max_degree=4).details)["failures"]
+        assert ("expansion vs standard-tableau listing", (2, 1)) in failures
+        assert {f[0] for f in failures} == {"expansion vs standard-tableau listing"}
 
 
 class TestConjectureSuites:
