@@ -298,7 +298,3 @@ class TestDescentConditions:
     def test_alphabet_must_be_a_positive_integer(self, n):
         with pytest.raises(InvalidParameters):
             check_descent_composition_conditions((2, 1), (2, 1), n=n)
-
-    def test_smallest_alphabet_that_holds_the_composition(self):
-        report = check_descent_composition_conditions((2, 1), (2, 1), n=2)
-        assert report.passed and all(dict(report.details)["conditions"])
