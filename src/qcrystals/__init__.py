@@ -21,11 +21,12 @@ _EXPORTS_BY_MODULE = {
         InvalidPair InvalidParameters NotSymmetric QCrystalsError""",
     "tableaux": """
         HorizontalBandParsing
-        check_composition check_partition compositions_of descent_composition
-        destandardize enumerate_ssyt enumerate_syt highest_weight_tableau
-        hook_length_count is_semistandard is_standard minimal_parsing
-        partitions_of reading_word refines sources_of_type standardize_tableau
-        standardize_word weight_of word_descent_composition""",
+        check_composition check_partition compositions_of count_bm
+        count_ssyt_formula descent_composition destandardize enumerate_ssyt
+        enumerate_syt highest_weight_tableau hook_length_count is_semistandard
+        is_standard kostka minimal_parsing partitions_of reading_word refines
+        sources_of_type standardize_tableau standardize_word weight_of
+        word_descent_composition""",
     "crystal": """
         CrystalGraph ParenReduction
         e_tableau e_word f_tableau f_word generate_crystal paren_reduce
@@ -36,9 +37,8 @@ _EXPORTS_BY_MODULE = {
         rsk_of_rot skew_from_rows""",
     "decomposition": """
         QuasicrystalClass Subcomponent
-        canonical_quasicrystal count_bm count_ssyt_formula decompose kostka
-        subcomponent_sink verify_subcomponent_iso
-        weight_multiplicity_in_subcomponent""",
+        canonical_quasicrystal decompose subcomponent_sink
+        verify_subcomponent_iso weight_multiplicity_in_subcomponent""",
     "skeleton": """
         DualEquivalenceGraph SkeletonGraph
         build_skeleton check_descent_composition_conditions

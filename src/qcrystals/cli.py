@@ -10,12 +10,12 @@ MAX_VERTICES tableaux before building it, counted by the hook-content
 formula; skeleton refuses a skeleton of more than MAX_VERTICES standard
 tableaux, counted by the hook-length formula or, under --max-entry n, as
 the standard tableaux with at most n-1 descents in the descent census.
-dual-equivalence and count kostka list every standard tableau of the
-shape, so they refuse a shape with more than MAX_VERTICES of them. No guard
-count lists a tableau.
+dual-equivalence lists every standard tableau of the shape, so it refuses
+a shape with more than MAX_VERTICES of them. No guard count, and no count
+subcommand, lists a tableau.
 
-Each subcommand imports only the modules it runs: rsk and evac load no
-crystal code, and no subcommand but check loads verify.
+Each subcommand imports only the modules it runs: count, rsk and evac
+load no crystal code, and no subcommand but check loads verify.
 """
 
 import argparse
@@ -23,9 +23,12 @@ import json
 import sys
 
 from .errors import InvalidParameters, QCrystalsError
-from .tableaux import check_partition, hook_content_count, hook_length_count, max_entry
+from .tableaux import (
+    check_partition, count_bm, count_ssyt_formula, descent_count_census,
+    hook_content_count, hook_length_count, kostka, max_entry,
+)
 
-# most vertices a command builds, and most standard tableaux kostka lists
+# most vertices a command builds
 MAX_VERTICES = 1_000_000
 
 
@@ -60,10 +63,10 @@ def _parse_tableau(text, parser):
         parser.error(f"cannot parse tableau: {exc}")
 
 
-def _check_size(count, what, unit="vertices"):
+def _check_size(count, what):
     if count > MAX_VERTICES:
         raise InvalidParameters(
-            f"{what} has {count} {unit}, more than the limit of {MAX_VERTICES}")
+            f"{what} has {count} vertices, more than the limit of {MAX_VERTICES}")
 
 
 def _check_crystal_size(shape, n):
@@ -123,7 +126,6 @@ def cmd_decompose(args, parser):
 
 
 def cmd_skeleton(args, parser):
-    from .decomposition import descent_count_census
     from .render import skeleton_to_dot, skeleton_to_json
     from .skeleton import build_skeleton, skeleton_stable
     shape = _parse_shape(args.shape, parser)
@@ -182,19 +184,12 @@ def cmd_schurify(args, parser):
 
 def cmd_count(args, parser):
     if args.what == "ssyt":
-        from .decomposition import count_ssyt_formula
-        shape = _parse_shape(args.shape, parser)
-        print(count_ssyt_formula(shape, args.max_entry))
+        print(count_ssyt_formula(_parse_shape(args.shape, parser), args.max_entry))
     elif args.what == "bm":
-        from .decomposition import count_bm
         print(count_bm(args.size, args.max_entry))
     elif args.what == "kostka":
-        from .decomposition import kostka
         shape = _parse_shape(args.shape, parser)
-        weight = _parse_ints(args.weight, parser, "weight")
-        _check_size(hook_length_count(shape), f"the shape {','.join(map(str, shape))}",
-                    "standard tableaux")
-        print(kostka(shape, weight))
+        print(kostka(shape, _parse_ints(args.weight, parser, "weight")))
     else:  # plethysm-monomials
         from .symfunc import plethysm_monomial_count
         outer = _parse_shape(args.outer, parser)

@@ -1,4 +1,4 @@
-"""Decomposition of a crystal into descent classes, and exact counting.
+"""Decomposition of a crystal into descent classes.
 
 Grouping the vertices of a connected tableau crystal by descent composition
 partitions it into connected induced subgraphs, one per standard tableau Q
@@ -12,20 +12,18 @@ compositions are computed only at the class sources. Each class has a
 unique source (the band filling of its standard tableau), a unique sink
 (the source with entries shifted by n-s), and the oriented-graph structure
 of a one-row crystal on a smaller alphabet; those structural facts power
-the counting formulas at the bottom of this module.
+the counting formulas of tableaux, whose counts this module re-binds.
 """
 
 from dataclasses import dataclass
-from functools import cache
-from math import comb
 
 from .crystal import CrystalGraph, bfs_forest, generate_crystal
 from .errors import InternalError, InvalidParameters
 from .tableaux import (
-    Composition, Partition, Tableau,
-    band_letters, check_composition, check_partition, composition_to_descent_set,
-    descent_composition, hook_content_count, reading_word, refines,
-    syt_descent_compositions, weight_of,
+    Composition, Tableau,
+    band_letters, check_composition, composition_to_descent_set, count_bm,
+    count_ssyt_formula, descent_composition, descent_count_census, kostka,
+    reading_word, weight_of,
 )
 
 
@@ -217,79 +215,6 @@ def weight_matching_bijection(G: CrystalGraph, sub1: Subcomponent,
         return None
     by_weight = {weight_of(G.vertices[v], n): v for v in sub2.vertex_indices}
     return {u: by_weight[weight_of(G.vertices[u], n)] for u in sub1.vertex_indices}
-
-
-# ---------------------------------------------------------------------------
-# counting
-
-def count_bm(m: int, k: int) -> int:
-    """Number of one-row tableaux of size m over 1..k: C(m+k-1, k-1)."""
-    if m < 1 or k < 1:
-        raise InvalidParameters("m and k must be >= 1")
-    return comb(m + k - 1, k - 1)
-
-
-@cache
-def _descent_count_census(shape: Partition) -> tuple[tuple[int, int], ...]:
-    m = sum(shape)
-    census = []
-    for d in range(m):
-        # count(shape, d+1) = sum over j <= d of c_j C(m+d-j, m), and c_d's
-        # coefficient is C(m, m) = 1
-        c = hook_content_count(shape, d + 1) - sum(
-            count * comb(m + d - j, m) for j, count in census)
-        if c:
-            census.append((d, c))
-    return tuple(census)
-
-
-def descent_count_census(shape: Partition) -> dict[int, int]:
-    """How many standard tableaux of the shape have each number of descents.
-
-    No tableau is listed: count_ssyt_formula's sum, taken at n = 1..|shape|,
-    is a unit lower-triangular system in the counts c_d, whose left side is
-    the hook-content count. So c_d = hook_content_count(shape, d+1) minus
-    the sum over j < d of c_j C(m+d-j, m), with m = |shape|. Only the d with
-    c_d > 0 are keys.
-    """
-    return dict(_descent_count_census(check_partition(shape)))
-
-
-def count_ssyt_formula(shape: Partition, n: int) -> int:
-    """Exact count of tableaux of the shape with entries <= n.
-
-    Sums, over the number of descents d, the number of standard tableaux
-    with d descents times the size of the one-row crystal each of their
-    classes is isomorphic to; terms with n-d-1 < 0 vanish. The census comes
-    from the hook-content formula (descent_count_census), so the count is
-    exact at any n without listing a tableau; verify.counting_suite checks
-    it against brute-force enumeration and the census against the standard
-    tableaux.
-    """
-    shape = check_partition(shape)
-    m = sum(shape)
-    total = 0
-    for d, count in descent_count_census(shape).items():
-        if n - d - 1 >= 0:
-            total += count * comb(m + n - d - 1, n - d - 1)
-    return total
-
-
-def kostka(shape: Partition, mu) -> int:
-    """Kostka number: tableaux of the shape with weight mu.
-
-    Counted as the standard tableaux whose descent composition is refined by
-    mu (zero parts of mu are irrelevant to both sides and are stripped).
-    """
-    shape = check_partition(shape)
-    mu = tuple(int(p) for p in mu)
-    if any(p < 0 for p in mu):
-        raise InvalidParameters("weights must be non-negative")
-    if sum(mu) != sum(shape):
-        raise InvalidParameters("|mu| must equal |shape|")
-    mu_stripped = tuple(p for p in mu if p)
-    return sum(1 for comp in syt_descent_compositions(shape)
-               if refines(comp, mu_stripped))
 
 
 def weight_multiplicity_in_subcomponent(sub, mu) -> int:

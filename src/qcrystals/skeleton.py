@@ -44,8 +44,9 @@ from .rsk import evacuate
 from .tableaux import (
     Composition, Partition, Tableau,
     band_filling, check_composition, check_partition, compositions_of,
-    descent_composition, enumerate_syt, enumerate_syt_by_parts, is_standard,
-    reading_word, standardize_word, syt_descent_compositions, tableau_size,
+    descent_composition, descent_composition_counts, enumerate_syt,
+    enumerate_syt_by_parts, is_standard, partitions_of, reading_word,
+    standardize_word, tableau_size,
 )
 
 
@@ -367,12 +368,12 @@ def check_skeleton_strata(shape: Partition) -> Report:
 
 
 def check_reordering_conjecture(m: int) -> Report:
-    """Every composition occurs for the sorted shape of its parts."""
-    missing = []
-    for alpha in compositions_of(m):
-        lam = tuple(sorted(alpha, reverse=True))
-        if alpha not in syt_descent_compositions(lam):
-            missing.append(alpha)
+    """Every composition occurs in the descent_composition_counts table of
+    the sorted shape of its parts."""
+    occurring = {lam: {comp for comp, _ in descent_composition_counts(lam)}
+                 for lam in partitions_of(m)}
+    missing = [alpha for alpha in compositions_of(m)
+               if alpha not in occurring[tuple(sorted(alpha, reverse=True))]]
     return Report(
         name=f"reordering conjecture at size {m}",
         passed=not missing,
@@ -386,11 +387,12 @@ def check_descent_composition_conditions(shape: Partition, alpha: Composition,
 
     The conditions are necessary but not sufficient. details holds the five
     verdicts, in order, under "conditions", and under "multiplicity" how
-    many standard tableaux of the shape have alpha as descent composition;
-    passed means no condition fails while alpha occurs. With s the number
-    of parts of alpha, condition 4's upper bound s <= n is checked only
-    when an ambient alphabet n is given, and condition 5 is s <= |shape|,
-    the cell count: the bound's constant is otherwise unspecified.
+    many standard tableaux of the shape have alpha as descent composition,
+    read from descent_composition_counts; passed means no condition fails
+    while alpha occurs. With s the number of parts of alpha, condition 4's
+    upper bound s <= n is checked only when an ambient alphabet n is given,
+    and condition 5 is s <= |shape|, the cell count: the bound's constant is
+    otherwise unspecified.
     InvalidParameters unless n is None or an integer >= 1.
     """
     shape = check_partition(shape)
@@ -407,7 +409,7 @@ def check_descent_composition_conditions(shape: Partition, alpha: Composition,
         ell <= s and (n is None or s <= n),
         s <= m,
     )
-    multiplicity = syt_descent_compositions(shape).count(alpha)
+    multiplicity = dict(descent_composition_counts(shape)).get(alpha, 0)
     return Report(
         name=f"descent composition conditions for {alpha} on {shape}",
         passed=all(conditions) or multiplicity == 0,

@@ -8,13 +8,9 @@ subtracting that many standard-tableau expansions strictly lowers the
 leading support, so the loop terminates within one pass per composition.
 
 The coefficient of F_alpha in s_shape counts the standard tableaux of the
-shape with descent composition alpha. That table is counted by removing
-corners, without listing tableaux: in a standard tableau with m cells, m
-sits in a corner, and m-1 is a descent iff m's row is below the row of
-m-1. So the counts by (descent set, row of the largest entry) of a shape
-are the sums, over its corners, of those of the shape minus the corner.
-tableaux.syt_descent_compositions, which lists the tableaux, stays as the
-independent check of this table in the tests and verify.schurify_suite.
+shape with descent composition alpha: the corner-removal table
+tableaux.descent_composition_counts, bound here as _schur_to_f_terms. The
+listing tableaux.syt_descent_compositions checks it in verify and the tests.
 
 The public constructors FExpansion(...) and SchurExpansion(...), and so
 parse_f_expansion and parse_schur_expansion, check every support and
@@ -25,7 +21,6 @@ table, and are wrapped by _Expansion._trusted without a second check.
 
 import operator
 import re
-from functools import cache
 
 from .errors import (
     DegreeMismatch, EmptyExpansion, EmptyInput, InternalError, InvalidParameters,
@@ -34,8 +29,11 @@ from .errors import (
 from .tableaux import (
     Composition, Partition,
     check_composition, check_partition, composition_to_descent_set,
-    descent_set_to_composition, is_partition,
+    count_ssyt_formula, descent_composition_counts, is_partition,
 )
+
+# the cached (composition, count) table of a shape
+_schur_to_f_terms = descent_composition_counts
 
 
 class _Expansion:
@@ -134,41 +132,6 @@ class SchurExpansion(_Expansion):
         return check_partition(support)
 
 
-@cache
-def _schur_to_f_terms(shape: Partition) -> tuple[tuple[Composition, int], ...]:
-    """Sorted (descent composition, number of standard tableaux) pairs.
-
-    Grows the shape one cell at a time from (1,), keeping, for each
-    sub-shape of the current size, the counts keyed by (descent mask, row of
-    the largest entry); bit i-1 of a mask marks descent i. The table lives
-    for this call only, one size at a time.
-    """
-    if not shape:
-        raise EmptyInput("empty tableau")
-    level = {(1,): {(0, 0): 1}}
-    for k in range(2, sum(shape) + 1):
-        bit = 1 << (k - 2)  # descent k-1: k sits in a lower row than k-1
-        grown: dict[Partition, dict[tuple[int, int], int]] = {}
-        for sub, counts in level.items():
-            for r in range(min(len(sub) + 1, len(shape))):
-                width = sub[r] + 1 if r < len(sub) else 1
-                if width > shape[r] or (r and width > sub[r - 1]):
-                    continue
-                target = grown.setdefault(sub[:r] + (width,) + sub[r + 1:], {})
-                for (mask, row), count in counts.items():
-                    key = (mask | bit if r > row else mask, r)
-                    target[key] = target.get(key, 0) + count
-        level = grown
-    by_mask: dict[int, int] = {}
-    for (mask, _), count in level[shape].items():
-        by_mask[mask] = by_mask.get(mask, 0) + count
-    m = sum(shape)
-    return tuple(sorted(
-        (descent_set_to_composition([i + 1 for i in range(m - 1) if mask >> i & 1], m),
-         count)
-        for mask, count in by_mask.items()))
-
-
 def _add_terms(terms: dict, census, scale: int) -> None:
     """terms += scale * census in place, dropping coefficients that reach zero."""
     for support, count in census:
@@ -243,10 +206,11 @@ def schurify(f: FExpansion) -> SchurExpansion:
     the input was not symmetric), move that coefficient onto the Schur side,
     and subtract the corresponding standard-tableau expansion. Exact over the
     integers; the iteration cap is unreachable for homogeneous inputs.
+    EmptyInput for a multiple of F[], as for schur_to_f(()).
     """
     result: dict[Partition, int] = {}
     work = dict(f.terms)
-    cap = 2 ** (f.degree - 1) + 1 if f.degree is not None else 1
+    cap = 2 ** f.degree if f.degree else 1
     for _ in range(cap):
         if not work:
             return SchurExpansion._trusted(result, f.degree)
@@ -277,9 +241,6 @@ def plethysm_monomial_count(mu: Partition, lam: Partition, n: int) -> int:
     gives as many monomials as tableaux of the outer shape over an alphabet
     of that size.
     """
-    # imported here: decomposition loads the crystal code, which nothing else here runs
-    from .decomposition import count_ssyt_formula
-
     inner = count_ssyt_formula(check_partition(lam), n)
     if inner < 1:
         return 0

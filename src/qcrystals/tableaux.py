@@ -1,4 +1,4 @@
-"""Partitions, compositions, words, and semistandard tableaux.
+"""Partitions, compositions, words, semistandard tableaux, and exact counts.
 
 Conventions used everywhere in this package:
 
@@ -9,13 +9,15 @@ Conventions used everywhere in this package:
 - a tableau is a tuple of row tuples in English notation; rows weakly
   increase, columns strictly increase.
 
-Cell coordinates are (row, column), 0-indexed internally.
+Cell coordinates are (row, column), 0-indexed internally. All the counting
+lives here and lists no tableau; see _corner_counts for the one walk.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from math import factorial, prod
+from math import comb, factorial, prod
+from operator import index
 
 from .errors import EmptyInput, EntryOutOfRange, InvalidParameters
 
@@ -34,15 +36,23 @@ def is_partition(parts) -> bool:
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
+def _check_ints(values, what: str) -> tuple[int, ...]:
+    """values as ints; InvalidParameters for one operator.index rejects."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InvalidParameters(f"expected integers for {what}, got {values!r}") from None
+
+
 def check_partition(parts) -> Partition:
-    parts = tuple(int(p) for p in parts)
+    parts = _check_ints(parts, "partition parts")
     if not is_partition(parts):
         raise InvalidParameters(f"not a partition: {parts}")
     return parts
 
 
 def check_composition(parts) -> Composition:
-    parts = tuple(int(p) for p in parts)
+    parts = _check_ints(parts, "composition parts")
     if not all(p >= 1 for p in parts):
         raise InvalidParameters(f"not a composition (needs positive parts): {parts}")
     return parts
@@ -138,16 +148,12 @@ def composition_to_descent_set(alpha: Composition) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # words
 
-def word_descents(w: Word) -> tuple[int, ...]:
-    """Positions i (1-indexed) with w[i] > w[i+1]."""
-    return tuple(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
 def word_descent_composition(w: Word) -> Composition:
     """Lengths of the maximal weakly increasing runs of w, left to right."""
     if not w:
         raise EmptyInput("empty word")
-    return descent_set_to_composition(word_descents(w), len(w))
+    return descent_set_to_composition(
+        [i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1]], len(w))
 
 
 def standardize_word(w: Word) -> Word:
@@ -404,6 +410,21 @@ def enumerate_syt_by_parts(shape: Partition, max_parts: int) -> list[Tableau]:
     return out
 
 
+@cache
+def _syt_descent_compositions(shape: Partition) -> tuple[Composition, ...]:
+    return tuple(descent_composition(T) for T in enumerate_syt(shape))
+
+
+def syt_descent_compositions(shape: Partition) -> tuple[Composition, ...]:
+    """Descent compositions of enumerate_syt(shape), in the same order (cached).
+
+    It lists the tableaux: only sources_of_type and, as a check, verify call it."""
+    return _syt_descent_compositions(check_partition(shape))
+
+
+# ---------------------------------------------------------------------------
+# counting, without listing a tableau
+
 def hook_length_count(shape: Partition) -> int:
     """Number of standard tableaux by the hook-length formula (counting oracle)."""
     shape = check_partition(shape)
@@ -423,20 +444,121 @@ def hook_content_count(shape: Partition, n: int) -> int:
     O(cells) integer steps, no tableau listed, 0 when n < len(shape).
     """
     shape = check_partition(shape)
+    (n,) = _check_ints((n,), "the alphabet n")
     if n < len(shape):
         return 0
     contents = prod(n + c - r for r, length in enumerate(shape) for c in range(length))
     return hook_length_count(shape) * contents // factorial(sum(shape))
 
 
+def _corner_counts(shape: Partition, allowed: int, tracked: int) -> dict:
+    """Standard tableaux by (descent mask & tracked, row of the largest entry).
+
+    Bit i-1 of a mask is descent i. In a standard tableau with k cells, k
+    sits in a corner, and k-1 is a descent iff k's row is below that of k-1.
+    So the walk grows the shape a cell at a time from (1,), keeping the
+    counts of each sub-shape of the current size, and drops a branch that
+    puts a descent outside allowed. EmptyInput for the empty shape.
+    """
+    if not shape:
+        raise EmptyInput("empty tableau")
+    level = {(1,): {(0, 0): 1}}
+    for k in range(2, sum(shape) + 1):
+        bit = 1 << (k - 2)  # descent k-1: k sits in a lower row than k-1
+        barred, kept = not bit & allowed, bit & tracked
+        grown: dict[Partition, dict[tuple[int, int], int]] = {}
+        for sub, counts in level.items():
+            for r in range(min(len(sub) + 1, len(shape))):
+                width = sub[r] + 1 if r < len(sub) else 1
+                if width > shape[r] or (r and width > sub[r - 1]):
+                    continue
+                target = grown.setdefault(sub[:r] + (width,) + sub[r + 1:], {})
+                for (mask, row), count in counts.items():
+                    if r > row and barred:
+                        continue
+                    key = (mask | kept if r > row else mask, r)
+                    target[key] = target.get(key, 0) + count
+        level = grown
+    return level[shape]
+
+
 @cache
-def _syt_descent_compositions(shape: Partition) -> tuple[Composition, ...]:
-    return tuple(descent_composition(T) for T in enumerate_syt(shape))
+def descent_composition_counts(shape: Partition) -> tuple[tuple[Composition, int], ...]:
+    """Sorted (descent composition, number of standard tableaux) pairs, the
+    F-expansion of s_shape: _corner_counts tracking every descent (cached)."""
+    shape = check_partition(shape)
+    by_mask: dict[int, int] = {}
+    for (mask, _), count in _corner_counts(shape, -1, -1).items():  # -1: every bit
+        by_mask[mask] = by_mask.get(mask, 0) + count
+    m = sum(shape)
+    return tuple(sorted(
+        (descent_set_to_composition([i + 1 for i in range(m - 1) if mask >> i & 1], m),
+         count)
+        for mask, count in by_mask.items()))
 
 
-def syt_descent_compositions(shape: Partition) -> tuple[Composition, ...]:
-    """Descent compositions of enumerate_syt(shape), in the same order (cached)."""
-    return _syt_descent_compositions(check_partition(shape))
+def count_bm(m: int, k: int) -> int:
+    """Number of one-row tableaux of size m over 1..k: C(m+k-1, k-1)."""
+    m, k = _check_ints((m, k), "m and k")
+    if m < 1 or k < 1:
+        raise InvalidParameters("m and k must be >= 1")
+    return comb(m + k - 1, k - 1)
+
+
+@cache
+def _descent_count_census(shape: Partition) -> tuple[tuple[int, int], ...]:
+    m = sum(shape)
+    census = []
+    for d in range(m):
+        # count(shape, d+1) = sum over j <= d of c_j C(m+d-j, m), and c_d's
+        # coefficient is C(m, m) = 1
+        c = hook_content_count(shape, d + 1) - sum(
+            count * comb(m + d - j, m) for j, count in census)
+        if c:
+            census.append((d, c))
+    return tuple(census)
+
+
+def descent_count_census(shape: Partition) -> dict[int, int]:
+    """How many standard tableaux of the shape have each number of descents.
+
+    No tableau is listed: count_ssyt_formula's sum at n = 1..|shape| is a
+    unit lower-triangular system in the counts c_d, with the hook-content
+    counts on its left side. Only the d with c_d > 0 are keys.
+    """
+    return dict(_descent_count_census(check_partition(shape)))
+
+
+def count_ssyt_formula(shape: Partition, n: int) -> int:
+    """Exact count of tableaux of the shape with entries <= n.
+
+    Sums, over the number of descents d, the number of standard tableaux
+    with d descents (descent_count_census) times the size of the one-row
+    crystal each of their descent classes is isomorphic to; terms with
+    d >= n vanish. Exact at any n, and no tableau is listed.
+    """
+    shape = check_partition(shape)
+    (n,) = _check_ints((n,), "the alphabet n")
+    m = sum(shape)
+    return sum(count * comb(m + n - d - 1, n - d - 1)
+               for d, count in descent_count_census(shape).items() if d < n)
+
+
+def kostka(shape: Partition, mu) -> int:
+    """Kostka number: tableaux of the shape with weight mu.
+
+    The paper's formula: the standard tableaux whose descent composition mu
+    refines, that is whose descents all lie in the descent set of mu (zero
+    parts of mu are dropped), counted by _corner_counts.
+    """
+    shape = check_partition(shape)
+    mu = _check_ints(mu, "weights")
+    if any(p < 0 for p in mu):
+        raise InvalidParameters("weights must be non-negative")
+    if sum(mu) != sum(shape):
+        raise InvalidParameters("|mu| must equal |shape|")
+    allowed = sum(1 << (d - 1) for d in composition_to_descent_set([p for p in mu if p]))
+    return sum(_corner_counts(shape, allowed, 0).values())
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ from .crystal import (
     word_crystal_component,
 )
 from .decomposition import (
-    QuasicrystalClass, count_bm, count_ssyt_formula, decompose, descent_classes,
-    descent_count_census, kostka, subcomponent_longest_path, subcomponent_sink,
-    verify_subcomponent_iso, weight_matching_bijection,
+    QuasicrystalClass, decompose, descent_classes, subcomponent_longest_path,
+    subcomponent_sink, verify_subcomponent_iso, weight_matching_bijection,
     weight_multiplicity_in_subcomponent,
 )
 from .errors import InvalidParameters
@@ -40,12 +39,12 @@ from .symfunc import (
     schur_to_f, schurify,
 )
 from .tableaux import (
-    band_cells, bands_mergeable, compositions_of, descent_composition,
-    enumerate_ssyt, enumerate_syt, hook_length_count, is_horizontal_band,
-    is_semistandard, is_standard, minimal_parsing, partitions_of,
-    reading_rows, reading_word, refines, shape_of, sources_of_type,
-    standardize_tableau, standardize_word, syt_descent_compositions, weight_of,
-    word_descent_composition,
+    band_cells, bands_mergeable, compositions_of, count_bm, count_ssyt_formula,
+    descent_composition, descent_count_census, enumerate_ssyt, enumerate_syt,
+    hook_length_count, is_horizontal_band, is_semistandard, is_standard, kostka,
+    minimal_parsing, partitions_of, reading_rows, reading_word, refines,
+    shape_of, sources_of_type, standardize_tableau, standardize_word,
+    syt_descent_compositions, weight_of, word_descent_composition,
 )
 
 
@@ -90,8 +89,7 @@ def parsing_suite(max_size: int = 6, alphabet: int = 4) -> Report:
                     failures.append(("band not maximal", T, band))
         for alpha in compositions_of(sum(shape)):
             sources = sources_of_type(shape, alpha)
-            if len(sources) != sum(1 for c in syt_descent_compositions(shape)
-                                   if c == alpha):
+            if len(sources) != syt_descent_compositions(shape).count(alpha):
                 failures.append(("source count vs census", shape, alpha))
             for T in sources:
                 if weight_of(T, len(alpha)) != alpha:
@@ -175,19 +173,15 @@ def decomposition_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     failures = []
     for shape in _shapes(max_size):
         m = sum(shape)
-        census: dict = {}
-        for comp in syt_descent_compositions(shape):
-            census[comp] = census.get(comp, 0) + 1
+        census = Counter(syt_descent_compositions(shape))
         for n in range(len(shape), alphabet + 1):
             G = generate_crystal(shape, n)
             subs = decompose(G)
             covered = [v for sub in subs for v in sub.vertex_indices]
             if sorted(covered) != list(range(len(G.vertices))):
                 failures.append(("classes do not partition", shape, n))
-            counts: dict = {}
-            for sub in subs:
-                counts[sub.alpha] = counts.get(sub.alpha, 0) + 1
-            if counts != {a: c for a, c in census.items() if len(a) <= n}:
+            if Counter(sub.alpha for sub in subs) != {
+                    a: c for a, c in census.items() if len(a) <= n}:
                 failures.append(("class multiplicities vs census", shape, n))
             depths = G.depths()
             lam_moment = _moment(shape)
@@ -243,9 +237,7 @@ def counting_suite(max_size: int = 7, alphabet: int = 6) -> Report:
         for n in range(1, alphabet + 1):
             if count_ssyt_formula(shape, n) != len(enumerate_ssyt(shape, n)):
                 failures.append(("count formula vs brute force", shape, n))
-        tally: dict = {}
-        for comp in syt_descent_compositions(shape):
-            tally[len(comp) - 1] = tally.get(len(comp) - 1, 0) + 1
+        tally = Counter(len(comp) - 1 for comp in syt_descent_compositions(shape))
         if descent_count_census(shape) != tally:
             failures.append(("descent census vs standard tableaux", shape))
     for m in range(1, max_size + 1):
@@ -257,19 +249,21 @@ def counting_suite(max_size: int = 7, alphabet: int = 6) -> Report:
 
 
 def kostka_suite(max_size: int = 7) -> Report:
-    """Descent-set Kostka formula against brute-force weight counting."""
+    """kostka against brute-force weight counting and against the paper's
+    formula on the listed standard tableaux: those whose type mu refines."""
     failures = []
     for m in range(1, max_size + 1):
         comps = compositions_of(m)
         for shape in partitions_of(m):
-            tally: dict = {}
-            for T in enumerate_ssyt(shape, m):
-                w = weight_of(T, m)
-                tally[w] = tally.get(w, 0) + 1
+            tally = Counter(weight_of(T, m) for T in enumerate_ssyt(shape, m))
+            syt = syt_descent_compositions(shape)
             for mu in comps:
                 padded = mu + (0,) * (m - len(mu))
-                if kostka(shape, mu) != tally.get(padded, 0):
+                value = kostka(shape, mu)
+                if value != tally.get(padded, 0):
                     failures.append(("kostka mismatch", shape, mu))
+                if value != sum(1 for comp in syt if refines(comp, mu)):
+                    failures.append(("kostka vs refinement sum", shape, mu))
     return _report(f"Kostka numbers up to size {max_size}", failures)
 
 

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from qcrystals import decomposition
+from qcrystals import decomposition, skeleton, symfunc, tableaux
 from qcrystals.crystal import CrystalGraph, generate_crystal
 from qcrystals.decomposition import (
     QuasicrystalClass, canonical_quasicrystal, count_bm, count_ssyt_formula,
@@ -11,7 +11,9 @@ from qcrystals.decomposition import (
     weight_multiplicity_in_subcomponent,
 )
 from qcrystals.errors import InternalError, InvalidParameters
-from qcrystals.skeleton import check_descent_composition_conditions
+from qcrystals.skeleton import (
+    check_descent_composition_conditions, check_reordering_conjecture,
+)
 from qcrystals.tableaux import (
     compositions_of, descent_composition, enumerate_ssyt, highest_weight_tableau,
     hook_content_count, hook_length_count, partitions_of,
@@ -171,15 +173,28 @@ class TestCountFormula:
                 assert descent_count_census(shape) == tally
 
     def test_census_lists_no_tableau(self, monkeypatch):
+        # the counts, kostka, the F-table and the checkers that read it
         def refuse(shape):
             raise AssertionError("standard tableaux listed")
 
-        monkeypatch.setattr(decomposition, "syt_descent_compositions", refuse)
+        for module in (tableaux, decomposition, skeleton, symfunc):
+            for name in ("syt_descent_compositions", "enumerate_syt"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         census = descent_count_census((8, 6, 4, 2))
         assert sum(census.values()) == hook_length_count((8, 6, 4, 2)) == 55099278
         assert min(census) == 3 and max(census) == 12
         assert count_ssyt_formula((5, 5, 5, 5), 4) == 1
         assert count_ssyt_formula((5, 5, 5, 5), 5) == hook_content_count((5, 5, 5, 5), 5)
+        assert kostka((5, 5, 5, 5), (5, 5, 5, 5)) == 1
+        assert kostka((8, 6, 4, 2), (4,) * 5) == 219
+        assert kostka((8, 6, 4, 2), (1,) * 20) == 55099278
+        f = symfunc.schur_to_f((6, 5, 4, 3))
+        assert len(f.terms) == 61726
+        assert sum(f.terms.values()) == hook_length_count((6, 5, 4, 3))
+        assert check_reordering_conjecture(8).passed
+        report = check_descent_composition_conditions((4, 3), (2, 3, 2))
+        assert dict(report.details)["multiplicity"] == 2
 
     def test_zero_below_length(self):
         assert count_ssyt_formula((2, 1, 1), 2) == 0

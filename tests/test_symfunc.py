@@ -225,6 +225,12 @@ class TestSchurify:
     def test_zero_input(self):
         assert schurify(FExpansion({})).terms == {}
 
+    def test_degree_zero_rejected(self):
+        # F[] once overflowed the iteration cap 2 ** (degree - 1) + 1 = 1.5
+        # into a bare TypeError
+        with pytest.raises(EmptyInput):
+            schurify(FExpansion({(): 1}))
+
     def test_integer_non_positive_combination(self):
         g = SchurExpansion({(2, 1): 3, (1, 1, 1): -2})
         assert schurify(schur_expansion_to_f(g)) == g

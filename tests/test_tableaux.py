@@ -4,9 +4,10 @@ import pytest
 
 from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidParameters
 from qcrystals.tableaux import (
-    band_cells, band_filling, band_letters, bands_mergeable, compositions_of, descent_composition,
+    band_cells, band_filling, band_letters, bands_mergeable, check_composition,
+    check_partition, compositions_of, count_bm, count_ssyt_formula, descent_composition,
     destandardize, enumerate_ssyt, enumerate_syt, enumerate_syt_by_parts,
-    highest_weight_tableau, hook_content_count, hook_length_count, is_horizontal_band,
+    highest_weight_tableau, hook_content_count, hook_length_count, is_horizontal_band, kostka,
     is_semistandard, is_standard, minimal_parsing, partitions_of,
     reading_rows, reading_word, refines, shape_of, sources_of_type,
     standardize_tableau, standardize_word,
@@ -365,3 +366,27 @@ class TestWeightOf:
         for T, n in [(((1, 3),), 2), (((0,),), 2), (((0, 1),), None), (((-1,),), 3)]:
             with pytest.raises(EntryOutOfRange):
                 weight_of(T, n)
+
+
+class TestCountingInputs:
+    # each of these once truncated a float, or raised a bare TypeError or
+    # ValueError
+    @pytest.mark.parametrize("call, args", [
+        (check_partition, ((2.5, 1),)),
+        (check_partition, (["x"],)),
+        (check_composition, ((1.5, 2),)),
+        (kostka, ((2,), (2.7, 0.9))),
+        (count_bm, (2.5, 2)),
+        (count_bm, (2, 2.5)),
+        (count_ssyt_formula, ((2, 1), 2.5)),
+        (hook_content_count, ((2, 1), 2.5)),
+    ], ids=["partition-float", "partition-string", "composition-float", "kostka-weight",
+            "bm-size", "bm-alphabet", "ssyt-alphabet", "hook-content-alphabet"])
+    def test_non_integers_are_rejected(self, call, args):
+        with pytest.raises(InvalidParameters):
+            call(*args)
+
+    def test_empty_shape(self):
+        with pytest.raises(EmptyInput):
+            kostka((), ())
+        assert count_ssyt_formula((), 3) == 0

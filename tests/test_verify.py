@@ -32,6 +32,17 @@ class TestSchurifySuite:
         assert {f[0] for f in failures} == {"expansion vs standard-tableau listing"}
 
 
+class TestKostkaSuite:
+    def test_both_sides_are_checked(self, monkeypatch):
+        right = verify.kostka
+        monkeypatch.setattr(verify, "kostka",
+                            lambda shape, mu: right(shape, mu) + (shape == (2, 1)))
+        failures = dict(verify.kostka_suite(max_size=3).details)["failures"]
+        assert ("kostka mismatch", (2, 1), (1, 1, 1)) in failures
+        assert ("kostka vs refinement sum", (2, 1), (1, 1, 1)) in failures
+        assert {f[1] for f in failures} == {(2, 1)}
+
+
 class TestConjectureSuites:
     def test_all_consistent_at_small_scale(self):
         for name in verify.CONJECTURE_SUITES:
