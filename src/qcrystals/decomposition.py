@@ -21,7 +21,7 @@ from .crystal import CrystalGraph, bfs_forest, generate_crystal
 from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Tableau,
-    band_letters, check_composition, composition_to_descent_set, count_bm,
+    _check_ints, band_letters, check_composition, composition_to_descent_set, count_bm,
     count_ssyt_formula, descent_composition, descent_count_census, kostka,
     reading_word, weight_of,
 )
@@ -226,7 +226,7 @@ def weight_multiplicity_in_subcomponent(sub, mu) -> int:
     rises strictly across every band boundary of the type.
     """
     alpha = check_composition(sub.alpha if isinstance(sub, Subcomponent) else sub)
-    mu = tuple(int(p) for p in mu)
+    mu = _check_ints(mu, "weights")
     if sum(mu) != sum(alpha):
         return 0
     seq = [entry for entry, count in enumerate(mu, 1) for _ in range(count)]

@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .errors import EmptyInput, EntryOutOfRange, InvalidPair
 from .tableaux import (
     Tableau, Word,
-    from_rows, is_partition, is_semistandard, is_standard, max_entry,
+    _check_ints, from_rows, is_partition, is_semistandard, is_standard, max_entry,
     shape_of, tableau_size,
 )
 
@@ -131,8 +131,8 @@ class SkewTableau:
 
 
 def skew_from_rows(inner, rows) -> SkewTableau:
-    return SkewTableau(tuple(int(p) for p in inner),
-                       tuple(tuple(int(v) for v in row) for row in rows))
+    return SkewTableau(_check_ints(inner, "the inner shape"),
+                       tuple(_check_ints(row, "skew tableau entries") for row in rows))
 
 
 def skew_reading_word(S: SkewTableau) -> Word:

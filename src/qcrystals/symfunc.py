@@ -12,11 +12,14 @@ shape with descent composition alpha: the corner-removal table
 tableaux.descent_composition_counts, bound here as _schur_to_f_terms. The
 listing tableaux.syt_descent_compositions checks it in verify and the tests.
 
-The public constructors FExpansion(...) and SchurExpansion(...), and so
-parse_f_expansion and parse_schur_expansion, check every support and
-coefficient. Results the module builds itself (+, -, scalar *, schur_to_f,
-schur_expansion_to_f, schurify) come from checked expansions or from the
-table, and are wrapped by _Expansion._trusted without a second check.
+The public constructors FExpansion(...) and SchurExpansion(...) check every
+support and coefficient. Results the module builds itself (+, -, scalar *,
+schur_to_f, schur_expansion_to_f, schurify) come from checked expansions or
+from the table, and are wrapped by _Expansion._trusted without a second
+check. parse_f_expansion and parse_schur_expansion check their text in one
+pass and build trusted expansions too: each support is converted to ints
+once and tested there, with the constructors' error types, messages and
+order. The constructors stay the slower oracle the tests compare them with.
 """
 
 import operator
@@ -119,17 +122,25 @@ class _Expansion:
 class FExpansion(_Expansion):
     """Integer combination of fundamental basis elements indexed by compositions."""
 
+    _basis = "F"
+
     @staticmethod
     def _check_support(support):
         return check_composition(support)
+
+    _is_support = staticmethod(lambda support: min(support) >= 1)
 
 
 class SchurExpansion(_Expansion):
     """Integer combination of Schur functions indexed by partitions."""
 
+    _basis = "s"
+
     @staticmethod
     def _check_support(support):
         return check_partition(support)
+
+    _is_support = staticmethod(is_partition)
 
 
 def _add_terms(terms: dict, census, scale: int) -> None:
@@ -253,32 +264,52 @@ def plethysm_monomial_count(mu: Partition, lam: Partition, n: int) -> int:
 _TERM_RE = re.compile(r"^(?:(-?\d+)\*)?([Fs])\[(-?\d+(?:,-?\d+)*)\]$")
 
 
-def _parse_terms(text: str, basis: str):
+def _parse_terms(text: str, cls):
+    """The expansion of class cls that text spells, checked in one pass.
+
+    Raises what cls(terms) would raise for the summed terms, in the same
+    order: parse and basis errors for the whole text first, then each
+    distinct support in first-seen order, its validity before its degree.
+    Only a support that fails the plain test reaches cls._check_support.
+    """
     compact = "".join(text.split())
     if not compact:
         raise InvalidParameters("empty expansion text")
+    basis, match = cls._basis, _TERM_RE.match
     terms: dict[tuple, int] = {}
     for chunk in compact.split("+"):
-        match = _TERM_RE.match(chunk)
-        if not match:
+        found = match(chunk)
+        if not found:
             raise InvalidParameters(f"cannot parse term {chunk!r}")
-        coeff, found_basis, parts = match.groups()
+        coeff, found_basis, parts = found.groups()
         if found_basis != basis:
             raise InvalidParameters(
                 f"expected basis {basis!r}, found {found_basis!r} in {chunk!r}")
-        support = tuple(int(p) for p in parts.split(","))
+        support = tuple(map(int, parts.split(",")))
         terms[support] = terms.get(support, 0) + (int(coeff) if coeff else 1)
-    return terms
+    is_support, degree = cls._is_support, None
+    for support, coeff in terms.items():
+        if not is_support(support):
+            cls._check_support(support)
+        if coeff:
+            if degree is None:
+                degree = sum(support)
+            elif sum(support) != degree:
+                raise DegreeMismatch(
+                    f"mixed degrees {degree} and {sum(support)} in one expansion")
+    if 0 in terms.values():
+        terms = {k: v for k, v in terms.items() if v}
+    return cls._trusted(terms, degree)
 
 
 def parse_f_expansion(text: str) -> FExpansion:
     """Parse e.g. '2*F[2,3,2] + F[4,3]' (whitespace-insensitive)."""
-    return FExpansion(_parse_terms(text, "F"))
+    return _parse_terms(text, FExpansion)
 
 
 def parse_schur_expansion(text: str) -> SchurExpansion:
     """Parse e.g. 's[4,3] + 2*s[3,3,1]'."""
-    return SchurExpansion(_parse_terms(text, "s"))
+    return _parse_terms(text, SchurExpansion)
 
 
 def _format_terms(terms: dict, basis: str) -> str:

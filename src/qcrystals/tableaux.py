@@ -240,7 +240,7 @@ def reading_rows(shape: Partition) -> list[slice]:
 
 
 def from_rows(rows) -> Tableau:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(_check_ints(row, "tableau entries") for row in rows)
 
 
 # ---------------------------------------------------------------------------

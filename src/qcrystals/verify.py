@@ -523,7 +523,9 @@ def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Rep
     """Exact recovery of random positive Schur combinations.
 
     Also checks schur_to_f, counted by corner removal, against the tally of
-    descent compositions over the listed standard tableaux of each shape.
+    descent compositions over the listed standard tableaux of each shape,
+    and that the parsers read back what format_f_expansion and
+    format_schur_expansion print for each random combination.
     """
     failures = []
     for m in range(1, max_degree + 1):
@@ -540,11 +542,16 @@ def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Rep
         chosen = {shape: rng.randint(1, 9) for shape in
                   rng.sample(shapes, rng.randint(1, min(4, len(shapes))))}
         g = SchurExpansion(chosen)
-        back = schurify(schur_expansion_to_f(g))
-        if back != g:
+        f = schur_expansion_to_f(g)
+        if schurify(f) != g:
             failures.append(("linear round trip", chosen))
-        if not symfunc.is_schur_positive(schur_expansion_to_f(g)):
+        if not symfunc.is_schur_positive(f):
             failures.append(("positivity", chosen))
+        for built, read in ((f, symfunc.parse_f_expansion(symfunc.format_f_expansion(f))),
+                            (g, symfunc.parse_schur_expansion(
+                                symfunc.format_schur_expansion(g)))):
+            if (read.terms, read.degree) != (built.terms, built.degree):
+                failures.append(("format then parse", type(built).__name__, chosen))
     for alpha in [(1, 2), (2, 1, 3), (1, 1, 2)]:
         try:
             schurify(FExpansion({alpha: 1}))

@@ -196,6 +196,14 @@ class TestCli:
         assert code == 0
         assert json.loads(out) == {"P": [[1], [2], [3]], "Q": [[1], [2], [3]]}
 
+    def test_evac_non_integer_entry_is_a_parse_error(self):
+        # refused like any other malformed --tableau, not truncated to [[1, 3], [2]]
+        code, out, err = run_cli(["evac", "--tableau", "[[1.5,2],[3.2]]"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "qcrystals: error: cannot parse tableau: "
+            "expected integers for tableau entries, got [1.5, 2]"]
+
     def test_rsk_letter_below_one_exit_1(self):
         for word in ("0", "102", "1,-2"):
             code, out, err = run_cli(["rsk", "--word", word])

@@ -243,6 +243,11 @@ class TestWeightMultiplicity:
     def test_non_refining_weight(self):
         assert weight_multiplicity_in_subcomponent((2, 3, 2), (3, 2, 2)) == 0
 
+    def test_non_integer_weight_rejected(self):
+        # int() would truncate (2.7, 0.9) to (2, 0), a weight of the class (2,)
+        with pytest.raises(InvalidParameters):
+            weight_multiplicity_in_subcomponent((2,), (2.7, 0.9))
+
     def test_against_actual_classes(self):
         G = generate_crystal((3, 2), 4)
         for sub in decompose(G):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qcrystals.crystal import e_word, f_tableau, f_word, generate_crystal
-from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidPair
+from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidPair, InvalidParameters
 from qcrystals.rsk import (
     evacuate, jdt_rectify, rot_word,
     rotate180_complement, rsk, rsk_inverse, rsk_of_rot, skew_from_rows,
@@ -110,6 +110,12 @@ class TestJdt:
     def test_invalid_skew_rejected(self):
         with pytest.raises(InvalidPair):
             jdt_rectify(skew_from_rows((1, 2), [[1], [1]]))
+
+    @pytest.mark.parametrize("inner, rows", [((1.5,), [[1]]), ((1,), [[1.0, 2]]),
+                                             ((0,), [["2"]])])
+    def test_non_integer_skew_rejected(self, inner, rows):
+        with pytest.raises(InvalidParameters):
+            skew_from_rows(inner, rows)
 
 
 class TestRotWord:

@@ -8,6 +8,7 @@ import pytest
 from qcrystals.decomposition import count_ssyt_formula
 from qcrystals.errors import (
     DegreeMismatch, EmptyExpansion, EmptyInput, InvalidParameters, NotSymmetric,
+    QCrystalsError,
 )
 from qcrystals.symfunc import (
     FExpansion, SchurExpansion, f_to_monomials, format_f_expansion,
@@ -295,3 +296,124 @@ class TestGrammar:
             parse_f_expansion("2*G[1]")
         with pytest.raises(InvalidParameters):
             parse_f_expansion("")
+
+
+# Each bad text with the exception type and message the parsers raise.
+# Parse and basis errors anywhere in the text come first; then each distinct
+# support in first-seen order: its validity, then (unless its summed
+# coefficient is zero) its degree.
+PARSE_ERRORS = [
+    (parse_f_expansion, "", InvalidParameters, "empty expansion text"),
+    (parse_f_expansion, " \n\t ", InvalidParameters, "empty expansion text"),
+    (parse_schur_expansion, "", InvalidParameters, "empty expansion text"),
+    (parse_schur_expansion, "   ", InvalidParameters, "empty expansion text"),
+    (parse_f_expansion, "s[2]", InvalidParameters, "expected basis 'F', found 's' in 's[2]'"),
+    (parse_schur_expansion, "F[2]", InvalidParameters,
+     "expected basis 's', found 'F' in 'F[2]'"),
+    (parse_f_expansion, "F[0] + 2*s[1]", InvalidParameters,
+     "expected basis 'F', found 's' in '2*s[1]'"),
+    (parse_f_expansion, "2*G[1]", InvalidParameters, "cannot parse term '2*G[1]'"),
+    (parse_f_expansion, "F[1,1] + F[3] + garbage", InvalidParameters,
+     "cannot parse term 'garbage'"),
+    (parse_f_expansion, "F[1,1] + F[3] + F[1,]", InvalidParameters,
+     "cannot parse term 'F[1,]'"),
+    (parse_schur_expansion, "s[1,2] + s[3] + s[1 2", InvalidParameters,
+     "cannot parse term 's[12'"),
+    (parse_f_expansion, "F[1] - F[1]", InvalidParameters, "cannot parse term 'F[1]-F[1]'"),
+    (parse_f_expansion, "2.5*F[1]", InvalidParameters, "cannot parse term '2.5*F[1]'"),
+    (parse_f_expansion, "F[1]+", InvalidParameters, "cannot parse term ''"),
+    (parse_f_expansion, "F[]", InvalidParameters, "cannot parse term 'F[]'"),
+    (parse_f_expansion, "F[0,1] + -0*F[2]", InvalidParameters,
+     "not a composition (needs positive parts): (0, 1)"),
+    (parse_f_expansion, "F[2] + 0*F[0]", InvalidParameters,
+     "not a composition (needs positive parts): (0,)"),
+    (parse_f_expansion, "F[1,-1]", InvalidParameters,
+     "not a composition (needs positive parts): (1, -1)"),
+    (parse_schur_expansion, "s[1,2]", InvalidParameters, "not a partition: (1, 2)"),
+    (parse_schur_expansion, "s[2,0]", InvalidParameters, "not a partition: (2, 0)"),
+    (parse_f_expansion, "F[1,1] + F[3] + F[0,1]", DegreeMismatch,
+     "mixed degrees 2 and 3 in one expansion"),
+    (parse_schur_expansion, "s[1,1] + s[3] + s[1,2]", DegreeMismatch,
+     "mixed degrees 2 and 3 in one expansion"),
+]
+
+
+@pytest.mark.parametrize("parse, text, error, message", PARSE_ERRORS,
+                         ids=[f"{p.__name__}({t!r})" for p, t, _, _ in PARSE_ERRORS])
+def test_parse_error_contract(parse, text, error, message):
+    with pytest.raises(QCrystalsError) as info:
+        parse(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("parse, text, terms, degree", [
+    (parse_f_expansion, "F[1] + -1*F[1]", {}, None),
+    (parse_schur_expansion, "s[2,1] + -1*s[2,1]", {}, None),
+    (parse_f_expansion, "0*F[1,2]", {}, None),
+    (parse_f_expansion, "F[2] + 0*F[1]", {(2,): 1}, 2),
+    # the only term of the other degree cancels, first or later
+    (parse_f_expansion, "F[1] + -1*F[1] + F[2,3]", {(2, 3): 1}, 5),
+    (parse_f_expansion, "F[2] + F[1,2] + -1*F[2]", {(1, 2): 1}, 3),
+    (parse_schur_expansion, "s[3] + s[2] + -1*s[2]", {(3,): 1}, 3),
+])
+def test_parse_cancellation(parse, text, terms, degree):
+    parsed = parse(text)
+    assert (parsed.terms, parsed.degree) == (terms, degree)
+
+
+def _naive_parse(text, cls):
+    """The validating constructor over a plain split of the text."""
+    terms = {}
+    for chunk in "".join(text.split()).split("+"):
+        coeff, _, body = chunk.rpartition("*")
+        support = tuple(int(p) for p in body[2:-1].split(","))
+        terms[support] = terms.get(support, 0) + (int(coeff) if coeff else 1)
+    return cls(terms)
+
+
+def _outcome(parse, *args):
+    try:
+        result = parse(*args)
+    except QCrystalsError as exc:
+        return type(exc), str(exc)
+    return type(result), result.terms, result.degree
+
+
+def _random_text(rng, basis, supports):
+    """A sum of 1 to 8 terms over supports, some repeated, spaced at random."""
+    def space():
+        return rng.choice(["", "", " ", "  ", "\t", "\n"])
+    chunks = []
+    for _ in range(rng.randint(1, 8)):
+        support = rng.choice(supports)
+        body = f"{basis}{space()}[{space()}" + f"{space()},{space()}".join(
+            map(str, support)) + f"{space()}]"
+        coeff = rng.choice([None, None, 1, 2, -1, -2, 0, -0, 7])
+        chunks.append(body if coeff is None else f"{coeff}{space()}*{space()}{body}")
+    return space() + f"{space()}+{space()}".join(chunks) + space()
+
+
+def test_parsers_agree_with_the_validating_constructor():
+    rng = random.Random(12)
+    for _ in range(600):
+        m = rng.randint(1, 5)
+        parse, cls, basis, supports = rng.choice([
+            (parse_f_expansion, FExpansion, "F", compositions_of(m)),
+            (parse_schur_expansion, SchurExpansion, "s", partitions_of(m))])
+        # now and then a support of another degree or an invalid one
+        supports = supports + rng.choice([[], [], [(1,) * (m + 1)], [(0, m)], [(1, m)]])
+        text = _random_text(rng, basis, supports)
+        assert _outcome(parse, text) == _outcome(_naive_parse, text, cls), text
+
+
+def test_parsers_read_back_what_format_prints():
+    rng = random.Random(13)
+    for _ in range(100):
+        g = SchurExpansion(_random_terms(rng, partitions_of(rng.randint(1, 8))))
+        f = schur_expansion_to_f(g)
+        for parse, fmt, built in ((parse_f_expansion, format_f_expansion, f),
+                                  (parse_schur_expansion, format_schur_expansion, g)):
+            text = fmt(built)
+            parsed = parse(text)
+            assert (parsed.terms, parsed.degree) == (built.terms, built.degree)
+            assert _outcome(parse, text) == _outcome(_naive_parse, text, type(built))

@@ -11,13 +11,24 @@ from qcrystals.tableaux import (
     is_semistandard, is_standard, minimal_parsing, partitions_of,
     reading_rows, reading_word, refines, shape_of, sources_of_type,
     standardize_tableau, standardize_word,
-    descent_set_to_composition, syt_descent_compositions,
+    descent_set_to_composition, from_rows, syt_descent_compositions,
     tableau_descent_set, weight_of, word_descent_composition,
 )
 
 
 def T(*rows):
     return tuple(tuple(r) for r in rows)
+
+
+class TestFromRows:
+    def test_rows_become_tuples(self):
+        assert from_rows([[1, 2], [3]]) == ((1, 2), (3,))
+
+    @pytest.mark.parametrize("rows", [[[1.5, 2], [3.2]], [[1, 2.0]], [["1"]], [[None]], [1]])
+    def test_non_integer_entries_rejected(self, rows):
+        # int() would truncate 1.5 to 1 and read "1" as 1
+        with pytest.raises(InvalidParameters):
+            from_rows(rows)
 
 
 class TestPartitions:
