@@ -21,9 +21,6 @@ def T(*rows):
 
 
 class TestFromRows:
-    def test_rows_become_tuples(self):
-        assert from_rows([[1, 2], [3]]) == ((1, 2), (3,))
-
     @pytest.mark.parametrize("rows", [[[1.5, 2], [3.2]], [[1, 2.0]], [["1"]], [[None]], [1]])
     def test_non_integer_entries_rejected(self, rows):
         # int() would truncate 1.5 to 1 and read "1" as 1
