@@ -25,7 +25,7 @@ import sys
 from .errors import InvalidParameters, QCrystalsError
 from .tableaux import (
     check_partition, count_bm, count_ssyt_formula, descent_count_census,
-    hook_content_count, hook_length_count, kostka, max_entry,
+    hook_content_count, hook_length_count, kostka,
 )
 
 # most vertices a command builds
@@ -201,9 +201,7 @@ def cmd_count(args, parser):
 def cmd_evac(args, parser):
     from .render import tableau_to_json
     from .rsk import evacuate
-    T = _parse_tableau(args.tableau, parser)
-    n = args.max_entry if args.max_entry is not None else max_entry(T)
-    print(tableau_to_json(evacuate(T, n)))
+    print(tableau_to_json(evacuate(_parse_tableau(args.tableau, parser), args.max_entry)))
     return 0
 
 

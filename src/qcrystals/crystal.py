@@ -33,7 +33,7 @@ from types import MappingProxyType
 from .errors import InvalidParameters
 from .tableaux import (
     Partition, Tableau, Word,
-    check_partition, highest_weight_tableau, reading_rows, reading_word,
+    _check_ints, check_partition, highest_weight_tableau, reading_rows, reading_word,
     shape_of,
 )
 
@@ -276,6 +276,7 @@ def crystal_words(shape: Partition, max_entry: int) -> tuple[list[Word], tuple]:
     max_entry < len(shape), where no filling exists.
     """
     shape = check_partition(shape)
+    (max_entry,) = _check_ints((max_entry,), "max_entry")
     if max_entry < 1:
         raise InvalidParameters("max_entry must be >= 1")
     if len(shape) > max_entry:
@@ -306,6 +307,7 @@ def word_crystal_component(w: Word, max_entry: int) -> CrystalGraph:
     graded, so the greedy ascent terminates at its unique source); the
     component is then generated forward from it.
     """
+    (max_entry,) = _check_ints((max_entry,), "max_entry")
     if max_entry < 1 or any(not 1 <= letter <= max_entry for letter in w):
         raise InvalidParameters("letters must lie in 1..max_entry")
     current = w

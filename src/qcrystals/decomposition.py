@@ -227,6 +227,8 @@ def weight_multiplicity_in_subcomponent(sub, mu) -> int:
     """
     alpha = check_composition(sub.alpha if isinstance(sub, Subcomponent) else sub)
     mu = _check_ints(mu, "weights")
+    if any(p < 0 for p in mu):
+        raise InvalidParameters("weights must be non-negative")
     if sum(mu) != sum(alpha):
         return 0
     seq = [entry for entry, count in enumerate(mu, 1) for _ in range(count)]

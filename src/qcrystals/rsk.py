@@ -1,10 +1,10 @@
 """Row insertion, jeu de taquin, and the evacuation involution.
 
-Evacuation is implemented as rectify(complement(rotate180(T))): rotate the
-tableau half a turn, replace each entry v by n-v+1 for the ambient alphabet
-bound n, and slide the resulting skew tableau back to partition shape. It is
-an involution at fixed n, reverses descent compositions, and intertwines the
-raising and lowering operators with complemented labels.
+Evacuation inside 1..n inserts rot_word(reading_word(T), n), the reading
+word reversed with each letter v replaced by n-v+1 (Fulton, Young Tableaux,
+App. A.1); rectify(rotate180_complement(T, n)) is verify's oracle for it. It
+is an involution at fixed n, reverses descent compositions, and intertwines
+the raising and lowering operators with complemented labels.
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,8 @@ from typing import NamedTuple
 from .errors import EmptyInput, EntryOutOfRange, InvalidPair
 from .tableaux import (
     Tableau, Word,
-    _check_ints, from_rows, is_partition, is_semistandard, is_standard, max_entry,
-    shape_of, tableau_size,
+    _check_ints, from_rows, is_semistandard, is_standard, max_entry,
+    reading_word, shape_of, tableau_size,
 )
 
 
@@ -91,41 +91,19 @@ class SkewTableau:
     inner: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def outer(self) -> tuple[int, ...]:
-        return tuple(self.inner[i] + len(self.rows[i]) for i in range(len(self.rows)))
-
-    def entry(self, i: int, j: int) -> int | None:
-        """Entry at (i, j), or None for a blank or missing cell."""
-        if not 0 <= i < len(self.rows):
-            return None
-        if j < self.inner[i] or j >= self.outer[i]:
-            return None
-        return self.rows[i][j - self.inner[i]]
-
     def is_valid(self) -> bool:
-        outer = self.outer
-        if len(self.inner) != len(self.rows):
+        """One pass: inner >= 0, inner and outer weakly decreasing, rows
+        weakly increasing, columns strictly increasing."""
+        inner, rows = self.inner, self.rows
+        if len(inner) != len(rows) or (inner and inner[-1] < 0):
             return False
-        if not is_partition(tuple(p for p in outer if p)):
-            return False
-        inner_trim = tuple(p for p in self.inner if p)
-        if inner_trim and not is_partition(inner_trim):
-            return False
-        if any(self.inner[i] > outer[i] for i in range(len(self.rows))):
-            return False
-        if list(outer) != sorted(outer, reverse=True):
-            return False
-        if list(self.inner) != sorted(self.inner, reverse=True):
-            return False
-        for row in self.rows:
-            if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+        for i, row in enumerate(rows):
+            if any(a > b for a, b in zip(row, row[1:])):
                 return False
-        for i in range(len(self.rows) - 1):
-            for j in range(self.inner[i + 1], outer[i + 1]):
-                below = self.entry(i + 1, j)
-                here = self.entry(i, j)
-                if here is not None and below is not None and here >= below:
+            if i:  # column j holds above[j - above_start] over row[j - start]
+                start, above, above_start = inner[i], rows[i - 1], inner[i - 1]
+                if (start > above_start or start + len(row) > above_start + len(above)
+                        or any(a >= b for a, b in zip(above, row[above_start - start:]))):
                     return False
         return True
 
@@ -219,17 +197,19 @@ def rotate180_complement(T: Tableau, n: int) -> SkewTableau:
 
 
 def evacuate(T: Tableau, n: int | None = None) -> Tableau:
-    """Evacuation of T inside the alphabet 1..n (default: largest entry of T)."""
+    """rsk_of_rot(reading_word(T), n).P: evacuation of T inside the alphabet 1..n
+    (default: its largest entry). EmptyInput for an empty T, then EntryOutOfRange
+    for an entry outside 1..n, then InvalidPair unless T is semistandard."""
     if n is None:
         n = max_entry(T)
-    return jdt_rectify(rotate180_complement(T, n))
+    rotated = rot_word(reading_word(T), n)
+    if not is_semistandard(T):
+        raise InvalidPair(f"not a semistandard tableau: {T}")
+    return rsk(rotated).P
 
 
 def rsk_of_rot(w: Word, n: int) -> RskPair:
-    """Insertion pair of the rotated word.
-
-    Computed directly; it equals (evacuate(P, n), evacuate(Q, len(w))) for
-    the pair of w, and tests exercise that identity with both sides computed
-    independently.
-    """
+    """Insertion pair of rot_word(w, n): (evacuate(P, n), evacuate(Q, len(w))) for the
+    pair (P, Q) of w. evacuate inserts such a word too, so verify.evacuation_suite
+    checks it against jdt_rectify(rotate180_complement(T, n)) on every tableau."""
     return rsk(rot_word(w, n))

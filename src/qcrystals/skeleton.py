@@ -39,11 +39,11 @@ from dataclasses import dataclass
 
 from .crystal import bfs_forest, generate_crystal, lowering_positions, raising_positions
 from .decomposition import decompose, subcomponent_sink
-from .errors import InvalidParameters
+from .errors import EmptyInput, InvalidParameters
 from .rsk import evacuate
 from .tableaux import (
     Composition, Partition, Tableau,
-    band_filling, check_composition, check_partition, compositions_of,
+    _check_ints, band_filling, check_composition, check_partition, compositions_of,
     descent_composition, descent_composition_counts, enumerate_syt,
     enumerate_syt_by_parts, is_standard, partitions_of, reading_word,
     standardize_word, tableau_size,
@@ -81,9 +81,11 @@ def max_descent_composition_length(shape: Partition) -> int:
     standard tableau turns its descents into the non-descents, and a
     standard tableau of the transposed shape needs a descent to enter each
     of its shape[0] rows after the first, at least shape[0] - 1 in all; the
-    row-by-row filling has exactly that many.
+    row-by-row filling has exactly that many. EmptyInput for the empty shape.
     """
     shape = check_partition(shape)
+    if not shape:
+        raise EmptyInput("empty tableau")
     return sum(shape) - shape[0] + 1
 
 
@@ -101,6 +103,7 @@ def build_skeleton(shape: Partition, max_entry: int) -> SkeletonGraph:
     vertex is looked up by its reading word, and no crystal is built.
     """
     shape = check_partition(shape)
+    (max_entry,) = _check_ints((max_entry,), "max_entry")
     if max_entry < 1:
         raise InvalidParameters("max_entry must be >= 1")
     vertices = tuple(enumerate_syt_by_parts(shape, max_entry))
@@ -134,7 +137,6 @@ def skeleton_stable(shape: Partition) -> SkeletonGraph:
     is built beyond S: verify.skeleton_suite checks S+1 and S+2 against the
     crystal route.
     """
-    shape = check_partition(shape)
     return build_skeleton(shape, max_descent_composition_length(shape))
 
 
@@ -350,7 +352,6 @@ def check_skeleton_strata(shape: Partition) -> Report:
     vertices and one over the edges, in their order, give every stratum as
     induced_by_descent_count would.
     """
-    shape = check_partition(shape)
     skel = skeleton_stable(shape)
     d_of = {T: len(descent_composition(T)) - 1 for T in skel.vertices}
     strata: dict[int, tuple[list, dict]] = {}
@@ -362,7 +363,7 @@ def check_skeleton_strata(shape: Partition) -> Report:
     by_d = {d: classify_subgraph(tuple(vertices), edges)
             for d, (vertices, edges) in sorted(strata.items())}
     return Report(
-        name=f"skeleton strata classification for {shape}",
+        name=f"skeleton strata classification for {skel.shape}",
         passed=OTHER not in by_d.values(),
         details=tuple(sorted(by_d.items())))
 

@@ -24,6 +24,7 @@ order. The constructors stay the slower oracle the tests compare them with.
 
 import operator
 import re
+from collections.abc import Mapping
 
 from .errors import (
     DegreeMismatch, EmptyExpansion, EmptyInput, InternalError, InvalidParameters,
@@ -48,6 +49,8 @@ class _Expansion:
     """
 
     def __init__(self, terms: dict):
+        if not isinstance(terms, Mapping):
+            raise InvalidParameters(f"expected a mapping of terms, got {type(terms).__name__}")
         clean = {}
         degree = None
         for support, coeff in terms.items():
@@ -272,6 +275,8 @@ def _parse_terms(text: str, cls):
     distinct support in first-seen order, its validity before its degree.
     Only a support that fails the plain test reaches cls._check_support.
     """
+    if not isinstance(text, str):
+        raise InvalidParameters(f"expected expansion text, got {type(text).__name__}")
     compact = "".join(text.split())
     if not compact:
         raise InvalidParameters("empty expansion text")

@@ -342,6 +342,7 @@ def enumerate_ssyt(shape: Partition, max_entry: int) -> list[Tableau]:
     Listed in lexicographic order of reading words for reproducible output.
     """
     shape = check_partition(shape)
+    (max_entry,) = _check_ints((max_entry,), "max_entry")
     if max_entry < 1:
         raise InvalidParameters("max_entry must be >= 1")
     if len(shape) > max_entry:
@@ -428,6 +429,8 @@ def syt_descent_compositions(shape: Partition) -> tuple[Composition, ...]:
 def hook_length_count(shape: Partition) -> int:
     """Number of standard tableaux by the hook-length formula (counting oracle)."""
     shape = check_partition(shape)
+    if not shape:
+        raise EmptyInput("empty tableau")
     conjugate = [sum(1 for r in shape if r > c) for c in range(shape[0])]
     product = 1
     for i, r in enumerate(shape):

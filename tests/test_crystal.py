@@ -201,6 +201,13 @@ class TestGenerateCrystal:
         G = generate_crystal((2, 1, 1), 2)
         assert G.vertices == () and G.source is None
 
+    def test_alphabet_bound_must_be_an_integer(self):
+        for bound in (2.5, None):
+            with pytest.raises(InvalidParameters, match="expected integers for max_entry"):
+                generate_crystal((2, 1), bound)
+        with pytest.raises(InvalidParameters, match="max_entry must be >= 1"):
+            generate_crystal((2, 1), 0)
+
     def test_degree_bounds_and_unique_endpoints(self):
         G = generate_crystal((2, 2), 3)
         assert len(G.sources()) == 1 and len(G.sinks()) == 1
@@ -293,6 +300,11 @@ class TestWordCrystal:
             assert all(e_word(C.vertices[0], i) is None for i in range(1, n))
             assert (C.vertices, C.edges) == bfs_by_operator(C.vertices[0], n, f_word), w
             assert w in C.vertices
+
+    @pytest.mark.parametrize("w, bound", [((1, 2), 1.5), ((1, 1), 1.5), ((1,), None)])
+    def test_alphabet_bound_must_be_an_integer(self, w, bound):
+        with pytest.raises(InvalidParameters, match="expected integers for max_entry"):
+            word_crystal_component(w, bound)
 
     def test_reachable_from_any_member(self):
         base = word_crystal_component((2, 1, 2), 3)

@@ -248,6 +248,11 @@ class TestWeightMultiplicity:
         with pytest.raises(InvalidParameters):
             weight_multiplicity_in_subcomponent((2,), (2.7, 0.9))
 
+    def test_negative_weight_rejected(self):
+        # the parts sum to 3, and the candidate filling 1, 3, 3, 3 skipped the -1
+        with pytest.raises(InvalidParameters, match="non-negative"):
+            weight_multiplicity_in_subcomponent((1, 2), (1, -1, 3))
+
     def test_against_actual_classes(self):
         G = generate_crystal((3, 2), 4)
         for sub in decompose(G):

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from qcrystals.crystal import e_word, f_tableau, f_word, generate_crystal
 from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidPair, InvalidParameters
 from qcrystals.rsk import (
-    evacuate, jdt_rectify, rot_word,
+    SkewTableau, evacuate, jdt_rectify, rot_word,
     rotate180_complement, rsk, rsk_inverse, rsk_of_rot, skew_from_rows,
     skew_reading_word,
 )
@@ -111,11 +112,80 @@ class TestJdt:
         with pytest.raises(InvalidPair):
             jdt_rectify(skew_from_rows((1, 2), [[1], [1]]))
 
+    def test_inner_shorter_than_the_rows_rejected(self):
+        with pytest.raises(InvalidPair):
+            jdt_rectify(skew_from_rows((1,), [[1], [2]]))
+
     @pytest.mark.parametrize("inner, rows", [((1.5,), [[1]]), ((1,), [[1.0, 2]]),
                                              ((0,), [["2"]])])
     def test_non_integer_skew_rejected(self, inner, rows):
         with pytest.raises(InvalidParameters):
             skew_from_rows(inner, rows)
+
+
+def _valid_by_grid(inner, rows):
+    """Skew validity from the definition: both shapes weakly decreasing with
+    inner >= 0, and the filled cells, placed on a grid, weakly increasing
+    along rows and strictly increasing down columns."""
+    if len(inner) != len(rows) or any(p < 0 for p in inner):
+        return False
+    outer = [p + len(row) for p, row in zip(inner, rows)]
+    for shape in (inner, outer):
+        if list(shape) != sorted(shape, reverse=True):
+            return False
+    grid = {(i, inner[i] + k): v for i, row in enumerate(rows) for k, v in enumerate(row)}
+    for (i, j), v in grid.items():
+        if (i, j + 1) in grid and v > grid[i, j + 1]:
+            return False
+        if (i + 1, j) in grid and v >= grid[i + 1, j]:
+            return False
+    return True
+
+
+def _random_skew_parts(rng):
+    """inner and rows, mostly well formed, sometimes broken in one way."""
+    length = rng.randint(1, 4)
+    inner = [rng.randint(0, 3) for _ in range(length)]
+    if rng.random() < 0.8:
+        inner.sort(reverse=True)
+    if rng.random() < 0.1:
+        inner[rng.randrange(length)] = -1
+    if rng.random() < 0.1:
+        inner = inner[:-1] if rng.random() < 0.5 else inner + [0]
+    rows = []
+    for _ in range(length):
+        row = [rng.randint(1, 5) for _ in range(rng.randint(0, 3))]
+        rows.append(sorted(row) if rng.random() < 0.9 else row)
+    return tuple(inner), tuple(map(tuple, rows))
+
+
+class TestSkewValidity:
+    @pytest.mark.parametrize("inner, rows, valid", [
+        ((3, 2, 0), ((1, 1), (2, 2, 3), (1, 2, 3)), True),
+        ((1, 0), ((1,), ()), True),
+        ((2, 0), ((1,), (1, 1)), True),       # no cell of row 1 below row 0's
+        ((-1, 0), ((1, 2), (3,)), False),     # negative inner
+        ((0, -1), ((1,), (2,)), False),
+        ((1,), ((1,), (2,)), False),          # inner shorter than the rows
+        ((0, 1), ((1, 2), (3,)), False),      # inner not weakly decreasing
+        ((0, 0), ((1,), (2, 3)), False),      # outer not weakly decreasing
+        ((0,), ((2, 1),), False),             # row decreases
+        ((0, 0), ((1, 2), (1, 3)), False),    # equal entries in a column
+        ((1, 0), ((1, 2), (1, 3)), True),
+    ])
+    def test_cases(self, inner, rows, valid):
+        assert SkewTableau(inner, rows).is_valid() is valid
+        assert _valid_by_grid(inner, rows) is valid
+
+    def test_agrees_with_the_grid_definition(self):
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(3000):
+            inner, rows = _random_skew_parts(rng)
+            valid = SkewTableau(inner, rows).is_valid()
+            assert valid is _valid_by_grid(inner, rows), (inner, rows)
+            verdicts.append(valid)
+        assert 300 < sum(verdicts) < 2700
 
 
 class TestRotWord:
@@ -190,6 +260,38 @@ class TestEvacuate:
     def test_entry_out_of_range(self):
         with pytest.raises(EntryOutOfRange):
             evacuate(T([1, 4]), 3)
+
+    @pytest.mark.parametrize("t, n, error", [
+        ((), 2, EmptyInput),
+        (T([0, 1]), 2, EntryOutOfRange),
+        (T([3, 1]), 2, EntryOutOfRange),  # out of range before not semistandard
+        (T([2, 1]), 2, InvalidPair),
+        (T([1, 2], [1]), 2, InvalidPair),
+        (T([1], [2, 3]), 3, InvalidPair),
+        (T([1.5, 2]), 2, InvalidParameters),
+    ])
+    def test_error_contract(self, t, n, error):
+        with pytest.raises(error):
+            evacuate(t, n)
+
+    def test_needs_no_skew_tableau(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evacuation took the jeu de taquin route")
+        module = importlib.import_module("qcrystals.rsk")  # qcrystals.rsk is the function
+        monkeypatch.setattr(module, "jdt_rectify", refuse)
+        monkeypatch.setattr(module, "SkewTableau", refuse)
+        assert evacuate(T([1, 1, 2, 3], [2, 2, 3], [3], [4]), 4) == \
+            T([1, 2, 2, 3], [2, 3, 4], [3], [4])
+
+    def test_agrees_with_jeu_de_taquin_exhaustive(self):
+        count = 0
+        for m in range(1, 8):
+            for shape in partitions_of(m):
+                for n in range(1, 6):
+                    for t in enumerate_ssyt(shape, n):
+                        assert evacuate(t, n) == jdt_rectify(rotate180_complement(t, n)), t
+                        count += 1
+        assert count == 10334
 
 
 class TestRotatedInsertion:

@@ -5,7 +5,7 @@ import pytest
 from qcrystals import skeleton, verify
 from qcrystals.crystal import generate_crystal
 from qcrystals.decomposition import decompose
-from qcrystals.errors import InvalidParameters
+from qcrystals.errors import EmptyInput, InvalidParameters
 from qcrystals.skeleton import (
     CHAINS, EVEN_CYCLES, OTHER, SINGLETONS,
     build_skeleton, check_dual_equivalence_conjecture, check_evac_duality,
@@ -38,6 +38,14 @@ class TestBuildSkeleton:
     def test_stable_at_bound(self):
         assert build_skeleton((4, 3), 4) == build_skeleton((4, 3), 5)
 
+    def test_alphabet_bound_must_be_an_integer(self):
+        # 1.5 once gave an empty skeleton with max_entry 1.5
+        for bound in (1.5, None):
+            with pytest.raises(InvalidParameters, match="expected integers for max_entry"):
+                build_skeleton((2, 1), bound)
+        with pytest.raises(InvalidParameters, match="max_entry must be >= 1"):
+            build_skeleton((2, 1), 0)
+
     def test_edges_follow_crystal_edges(self):
         # every skeleton edge comes from some crystal edge between classes
         skel = build_skeleton((3, 2), 3)
@@ -64,6 +72,12 @@ class TestSkeletonStable:
                 assert max_descent_composition_length(shape) == longest
         with pytest.raises(InvalidParameters):
             max_descent_composition_length((2, 3))
+
+    @pytest.mark.parametrize("call", [skeleton_stable, check_skeleton_strata,
+                                      max_descent_composition_length])
+    def test_empty_shape(self, call):
+        with pytest.raises(EmptyInput, match="empty tableau"):
+            call(())
 
     def test_column_shape_single_vertex(self):
         skel = skeleton_stable((1, 1, 1, 1))

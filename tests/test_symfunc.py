@@ -346,6 +346,19 @@ def test_parse_error_contract(parse, text, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize("build, value, message", [
+    (parse_f_expansion, None, "expected expansion text, got NoneType"),
+    (parse_f_expansion, b"F[1]", "expected expansion text, got bytes"),
+    (parse_schur_expansion, None, "expected expansion text, got NoneType"),
+    (FExpansion, [((1,), 1)], "expected a mapping of terms, got list"),
+    (SchurExpansion, None, "expected a mapping of terms, got NoneType"),
+])
+def test_text_and_terms_of_the_wrong_type(build, value, message):
+    with pytest.raises(QCrystalsError) as info:
+        build(value)
+    assert type(info.value) is InvalidParameters and str(info.value) == message
+
+
 @pytest.mark.parametrize("parse, text, terms, degree", [
     (parse_f_expansion, "F[1] + -1*F[1]", {}, None),
     (parse_schur_expansion, "s[2,1] + -1*s[2,1]", {}, None),

@@ -388,8 +388,10 @@ class TestCountingInputs:
         (count_bm, (2, 2.5)),
         (count_ssyt_formula, ((2, 1), 2.5)),
         (hook_content_count, ((2, 1), 2.5)),
+        (enumerate_ssyt, ((2, 1), 2.5)),
     ], ids=["partition-float", "partition-string", "composition-float", "kostka-weight",
-            "bm-size", "bm-alphabet", "ssyt-alphabet", "hook-content-alphabet"])
+            "bm-size", "bm-alphabet", "ssyt-alphabet", "hook-content-alphabet",
+            "enumeration-alphabet"])
     def test_non_integers_are_rejected(self, call, args):
         with pytest.raises(InvalidParameters):
             call(*args)
@@ -397,4 +399,6 @@ class TestCountingInputs:
     def test_empty_shape(self):
         with pytest.raises(EmptyInput):
             kostka((), ())
+        with pytest.raises(EmptyInput, match="empty tableau"):
+            hook_length_count(())
         assert count_ssyt_formula((), 3) == 0

@@ -43,6 +43,15 @@ class TestKostkaSuite:
         assert {f[1] for f in failures} == {(2, 1)}
 
 
+class TestEvacuationSuite:
+    def test_insertion_is_compared_with_jeu_de_taquin(self, monkeypatch):
+        right = verify.evacuate
+        monkeypatch.setattr(verify, "evacuate",
+                            lambda T, n: T if T == ((1, 1), (2,)) else right(T, n))
+        failures = dict(verify.evacuation_suite(max_size=3, alphabet=2).details)["failures"]
+        assert ("insertion vs jeu de taquin", ((1, 1), (2,)), 2) in failures
+
+
 class TestConjectureSuites:
     def test_all_consistent_at_small_scale(self):
         for name in verify.CONJECTURE_SUITES:
