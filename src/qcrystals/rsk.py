@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .errors import EmptyInput, EntryOutOfRange, InvalidPair
 from .tableaux import (
     Tableau, Word,
-    _check_ints, from_rows, is_semistandard, is_standard, max_entry,
+    _check_ints, from_rows, is_semistandard, is_standard,
     reading_word, shape_of, tableau_size,
 )
 
@@ -175,7 +175,13 @@ def jdt_rectify(S: SkewTableau, choose=max) -> Tableau:
 # rotation, complementation, evacuation
 
 def rot_word(w: Word, n: int) -> Word:
-    """Reverse the word and complement each letter v -> n-v+1 (an involution)."""
+    """Reverse the word and complement each letter v -> n-v+1 (an involution).
+
+    InvalidParameters unless n and the letters are integers, then
+    EntryOutOfRange unless every letter lies in 1..n.
+    """
+    (n,) = _check_ints((n,), "the alphabet bound n")
+    w = _check_ints(w, "letters")
     if any(not 1 <= v <= n for v in w):
         raise EntryOutOfRange(f"letters must lie in 1..{n}")
     return tuple(n - v + 1 for v in reversed(w))
@@ -185,10 +191,14 @@ def rotate180_complement(T: Tableau, n: int) -> SkewTableau:
     """Rotate T half a turn inside its bounding rectangle and complement entries.
 
     The reading word of the result is rot_word of the reading word of T.
+    EmptyInput for an empty T, then InvalidParameters unless n and the
+    entries are integers, then EntryOutOfRange for an entry outside 1..n.
     """
     if not T:
         raise EmptyInput("empty tableau")
-    if max_entry(T) > n:
+    (n,) = _check_ints((n,), "the alphabet bound n")
+    T = tuple(_check_ints(row, "tableau entries") for row in T)
+    if any(not 1 <= v <= n for row in T for v in row):
         raise EntryOutOfRange(f"entries must lie in 1..{n}")
     width = len(T[0])
     inner = tuple(width - len(row) for row in reversed(T))
@@ -198,11 +208,11 @@ def rotate180_complement(T: Tableau, n: int) -> SkewTableau:
 
 def evacuate(T: Tableau, n: int | None = None) -> Tableau:
     """rsk_of_rot(reading_word(T), n).P: evacuation of T inside the alphabet 1..n
-    (default: its largest entry). EmptyInput for an empty T, then EntryOutOfRange
-    for an entry outside 1..n, then InvalidPair unless T is semistandard."""
-    if n is None:
-        n = max_entry(T)
-    rotated = rot_word(reading_word(T), n)
+    (default: its largest entry). EmptyInput for an empty T, then InvalidParameters
+    unless the entries and n are integers, then EntryOutOfRange for an entry
+    outside 1..n, then InvalidPair unless T is semistandard."""
+    word = _check_ints(reading_word(T), "tableau entries")
+    rotated = rot_word(word, max(word, default=0) if n is None else n)
     if not is_semistandard(T):
         raise InvalidPair(f"not a semistandard tableau: {T}")
     return rsk(rotated).P

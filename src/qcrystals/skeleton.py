@@ -26,12 +26,15 @@ filling itself comes from tableaux.band_filling, which reads it off the
 reading word of Q; tableaux is the one module that maps standard labels to
 band letters.
 
-The checkers at the bottom compare the skeleton against dual equivalence
-graphs, probe the structure of its fixed-descent-count strata and ask which
-compositions occur for a shape; their results are reports, never
-assertions, so runs on new territory cannot fail a build. Report, defined
-here, is the one result type of the package: every checker and every
-verify suite returns it, and verify's two runners fill in its wall time.
+The dual equivalence graph is built on reading words as well: one
+position array per tableau, and each moved tableau looked up by its word.
+The checkers at the bottom compare the skeleton against that graph, built
+on the stable skeleton's own vertices, probe the structure of its
+fixed-descent-count strata and ask which compositions occur for a shape;
+their results are reports, never assertions, so runs on new territory
+cannot fail a build. Report, defined here, is the one result type of the
+package: every checker and every verify suite returns it, and verify's two
+runners fill in its wall time.
 """
 
 from collections import Counter
@@ -254,7 +257,11 @@ def _swap_values(T: Tableau, a: int, b: int) -> Tableau:
 
 
 def _involution(T: Tableau, i: int) -> Tableau:
-    """d_i on a standard tableau known to hold i-1, i and i+1."""
+    """d_i on a standard tableau known to hold i-1, i and i+1.
+
+    One tableau at a time, from its own position map: the route of
+    dual_equivalence_involution, and the oracle for _dual_equivalence_edges.
+    """
     pos = {v: p for p, v in enumerate(reading_word(T))}
     lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
     if min(lo, hi) < mid < max(lo, hi):
@@ -269,28 +276,59 @@ def dual_equivalence_involution(T: Tableau, i: int) -> Tableau:
 
     Looking at the reading-word positions of i-1, i, i+1: if i sits between
     the other two, T is fixed; if i+1 sits between, i and i-1 trade places;
-    if i-1 sits between, i and i+1 trade places. InvalidParameters unless T
-    is standard and 1 < i < size.
+    if i-1 sits between, i and i+1 trade places. InvalidParameters unless i
+    is an integer, T is standard and 1 < i < size.
     """
+    (i,) = _check_ints((i,), "the index i")
     if not is_standard(T) or not 1 < i < tableau_size(T):
         raise InvalidParameters(
             f"d_{i} needs a standard tableau holding {i - 1}, {i} and {i + 1}")
     return _involution(T, i)
 
 
-def dual_equivalence_graph(shape: Partition) -> DualEquivalenceGraph:
-    """Graph on standard tableaux under the elementary involutions."""
-    shape = check_partition(shape)
-    m = sum(shape)
-    vertices = tuple(enumerate_syt(shape))
+def _dual_equivalence_edges(vertices) -> frozenset:
+    """Edges (T, T', i), T < T', of the involutions d_i on the given vertices.
+
+    The vertices must be all the standard tableaux of one shape. Each
+    reading word is taken once and stands for its tableau: the positions of
+    the labels are read off it once per tableau, d_i applies the rule of
+    dual_equivalence_involution to pos[i-1], pos[i], pos[i+1], and a moved
+    tableau is found by its word with the two labels swapped. d_i is an
+    involution, so every edge is met from both ends and kept from the
+    smaller one.
+    """
+    words = [reading_word(T) for T in vertices]
+    vertex_of = dict(zip(words, vertices))
     edges = set()
-    for T in vertices:
+    for T, word in zip(vertices, words):
+        m = len(word)
+        pos = [0] * (m + 1)
+        for p, v in enumerate(word):
+            pos[v] = p
         for i in range(2, m):
-            other = _involution(T, i)  # enumerate_syt gives standard tableaux
-            if other != T:
-                a, b = sorted((T, other))
-                edges.add((a, b, i))
-    return DualEquivalenceGraph(shape, vertices, frozenset(edges))
+            lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
+            if lo < mid < hi or hi < mid < lo:
+                continue
+            j = i - 1 if lo < hi < mid or mid < hi < lo else i + 1
+            image = list(word)
+            image[mid], image[pos[j]] = j, i
+            other = vertex_of[tuple(image)]
+            if T < other:
+                edges.add((T, other, i))
+    return frozenset(edges)
+
+
+def dual_equivalence_graph(shape: Partition) -> DualEquivalenceGraph:
+    """Graph on standard tableaux under the elementary involutions.
+
+    The vertices are enumerate_syt(shape), sorted by reading word; the edges
+    come from _dual_equivalence_edges, which works on the reading words.
+    verify.dual_equivalence_suite rebuilds them from
+    dual_equivalence_involution as the oracle.
+    """
+    shape = check_partition(shape)
+    vertices = tuple(enumerate_syt(shape))
+    return DualEquivalenceGraph(shape, vertices, _dual_equivalence_edges(vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +357,14 @@ def check_dual_equivalence_conjecture(shape: Partition) -> Report:
     Per unordered pair of standard tableaux: (a) every dual-equivalence edge
     must be matched by at least as many skeleton edges; (b) skeleton
     multiplicity above 1 must be matched exactly. Skeleton multiplicity
-    counts ordered edges per unordered pair.
+    counts ordered edges per unordered pair. At the stability bound the
+    skeleton's vertices are all the standard tableaux of the shape, so the
+    dual equivalence edges are built on them and the tableaux are listed
+    once.
     """
-    shape = check_partition(shape)
     skel = skeleton_stable(shape)
-    de = dual_equivalence_graph(shape)
+    de = DualEquivalenceGraph(skel.shape, skel.vertices,
+                              _dual_equivalence_edges(skel.vertices))
     sk_pairs = skel.unordered_pairs()
     de_pairs = de.unordered_pairs()
     violations = []
@@ -337,7 +378,7 @@ def check_dual_equivalence_conjecture(shape: Partition) -> Report:
                                r, de_pairs.get(pair, 0)))
     skeleton_only = sorted(tuple(sorted(p)) for p in sk_pairs if p not in de_pairs)
     return Report(
-        name=f"dual-equivalence containment for {shape}",
+        name=f"dual-equivalence containment for {skel.shape}",
         passed=not violations,
         details=(("skeleton_unordered_pairs", len(sk_pairs)),
                  ("dual_equivalence_unordered_pairs", len(de_pairs)),

@@ -476,10 +476,12 @@ def skeleton_suite(max_size: int = 6) -> Report:
 
 
 def dual_equivalence_suite(max_size: int = 6) -> Report:
-    """The elementary maps are involutions with standard images."""
+    """The elementary maps are involutions with standard images, and the
+    edges they give are those of the word-level dual_equivalence_graph."""
     failures = []
     for shape in _shapes(max_size):
         m = sum(shape)
+        edges = set()
         for T in enumerate_syt(shape):
             pos = {v: p for p, v in enumerate(reading_word(T))}
             for i in range(2, m):
@@ -492,6 +494,14 @@ def dual_equivalence_suite(max_size: int = 6) -> Report:
                                                                      pos[i + 1])
                 if between != (image == T):
                     failures.append(("fixed-point rule", T, i))
+                if image != T:
+                    edges.add((*sorted((T, image)), i))
+        try:
+            graph_edges = skeleton.dual_equivalence_graph(shape).edges
+        except KeyError:  # a wrong move led to a word of no standard tableau
+            graph_edges = None
+        if edges != graph_edges:
+            failures.append(("graph vs involutions", shape))
     return _report(f"dual equivalence involutions up to size {max_size}", failures)
 
 

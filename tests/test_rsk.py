@@ -212,6 +212,15 @@ class TestRotWord:
         with pytest.raises(EntryOutOfRange):
             rot_word((1, 3), 2)
 
+    @pytest.mark.parametrize("w, n, named", [
+        ((1, 2), None, "alphabet bound"),
+        ((1, 2), 2.0, "alphabet bound"),
+        ((1, "a"), 2, "letters"),
+    ])
+    def test_non_integers_rejected(self, w, n, named):
+        with pytest.raises(InvalidParameters, match=named):
+            rot_word(w, n)
+
 
 class TestRotateComplement:
     def test_worked_example(self):
@@ -234,8 +243,18 @@ class TestRotateComplement:
                 rot_word(reading_word(t), 4)
 
     def test_entry_out_of_range(self):
-        with pytest.raises(EntryOutOfRange):
-            rotate180_complement(T([1, 3]), 2)
+        for t in (T([1, 3]), T([0, 1])):
+            with pytest.raises(EntryOutOfRange):
+                rotate180_complement(t, 2)
+
+    @pytest.mark.parametrize("t, n, named", [
+        (T([1, "a"]), 2, "tableau entries"),
+        (T([1, 2]), "3", "alphabet bound"),
+        (T([1, 2]), 2.5, "alphabet bound"),
+    ])
+    def test_non_integers_rejected(self, t, n, named):
+        with pytest.raises(InvalidParameters, match=named):
+            rotate180_complement(t, n)
 
 
 class TestEvacuate:
@@ -272,6 +291,16 @@ class TestEvacuate:
     ])
     def test_error_contract(self, t, n, error):
         with pytest.raises(error):
+            evacuate(t, n)
+
+    @pytest.mark.parametrize("t, n, named", [
+        (T([1, "a"]), 2, "tableau entries"),
+        (T([1, "a"]), None, "tableau entries"),
+        (T([1, 2]), "3", "alphabet bound"),
+        (T([1, 2]), 2.5, "alphabet bound"),
+    ])
+    def test_non_integers_are_named(self, t, n, named):
+        with pytest.raises(InvalidParameters, match=named):
             evacuate(t, n)
 
     def test_needs_no_skew_tableau(self, monkeypatch):

@@ -187,6 +187,44 @@ class TestDualEquivalence:
         assert len(g.edges) == 25
         assert len(g.unordered_pairs()) == 17
 
+    def test_involution_index_must_be_an_integer(self):
+        for i in (2.0, "2"):
+            with pytest.raises(InvalidParameters):
+                dual_equivalence_involution(T([1, 2], [3]), i)
+
+    def test_word_graph_equals_involution_graph_through_size_8(self):
+        for m in range(1, 9):
+            for shape in partitions_of(m):
+                edges = set()
+                for t in enumerate_syt(shape):
+                    for i in range(2, m):
+                        image = dual_equivalence_involution(t, i)
+                        if image != t:
+                            edges.add((*sorted((t, image)), i))
+                g = dual_equivalence_graph(shape)
+                assert g.vertices == tuple(enumerate_syt(shape))
+                assert g.edges == edges, shape
+
+    def test_graph_and_containment_need_no_per_tableau_involution(self, monkeypatch):
+        graph = dual_equivalence_graph((3, 2, 1))
+        report = check_dual_equivalence_conjecture((3, 2, 1))
+
+        def refuse(*args):
+            raise AssertionError("took the per-tableau route")
+        monkeypatch.setattr(skeleton, "_involution", refuse)
+        assert dual_equivalence_graph((3, 2, 1)) == graph
+        assert check_dual_equivalence_conjecture((3, 2, 1)) == report
+
+    def test_containment_lists_the_standard_tableaux_once(self, monkeypatch):
+        listings = []
+        for name in ("enumerate_syt", "enumerate_syt_by_parts"):
+            def counted(*args, _list=getattr(skeleton, name)):
+                listings.append(args)
+                return _list(*args)
+            monkeypatch.setattr(skeleton, name, counted)
+        assert check_dual_equivalence_conjecture((4, 2, 1)).passed
+        assert len(listings) == 1
+
 
 class TestDualEquivalenceConjecture:
     def test_all_small_shapes(self):

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from qcrystals import symfunc, verify
+from qcrystals import skeleton, symfunc, verify
 from qcrystals.errors import InvalidParameters
 from qcrystals.skeleton import check_reordering_conjecture
 
@@ -50,6 +52,18 @@ class TestEvacuationSuite:
                             lambda T, n: T if T == ((1, 1), (2,)) else right(T, n))
         failures = dict(verify.evacuation_suite(max_size=3, alphabet=2).details)["failures"]
         assert ("insertion vs jeu de taquin", ((1, 1), (2,)), 2) in failures
+
+
+class TestDualEquivalenceSuite:
+    def test_word_graph_is_compared_with_the_involutions(self, monkeypatch):
+        right = skeleton.dual_equivalence_graph
+
+        def one_edge_short(shape):
+            g = right(shape)
+            return replace(g, edges=g.edges - {min(g.edges)}) if shape == (2, 2, 1) else g
+        monkeypatch.setattr(skeleton, "dual_equivalence_graph", one_edge_short)
+        failures = dict(verify.dual_equivalence_suite(max_size=5).details)["failures"]
+        assert failures == (("graph vs involutions", (2, 2, 1)),)
 
 
 class TestConjectureSuites:
