@@ -11,15 +11,14 @@ tableaux of a fixed shape. One left-to-right scan of a word finds, for every
 i at once, the position f_i changes (lowering_positions), and one
 right-to-left scan does the same for e_i (raising_positions); the skeleton
 takes single steps from band fillings with both. A single word BFS serves
-crystal_words, generate_crystal and word_crystal_component; words become
-tableaux only when the returned CrystalGraph is built, and crystal_words
-hands them out as they are, for callers that never need the tableaux (the
-crystal-route skeleton oracle of verify.skeleton_suite). Words are cut into
-rows by tableaux.reading_rows, and a CrystalGraph reads its kind off its
-vertices. paren_reduce and the per-i operators f_word, e_word, f_tableau
-and e_tableau apply the rule one letter at a time; they are kept as the
-independent slow oracle that the verify suites and the tests compare the
-generator against.
+generate_crystal and word_crystal_component, and a CrystalGraph keeps the
+words it found: a tableau crystal carries its shape and cuts its words into
+rows by tableaux.reading_rows only when its vertices are asked for, so
+callers that work on words (decompose, the skeleton oracle of
+verify.skeleton_suite) never build the tableaux. paren_reduce and the per-i
+operators f_word, e_word, f_tableau and e_tableau apply the rule one letter
+at a time; they are kept as the independent slow oracle that the verify
+suites and the tests compare the generator against.
 
 A finished graph is walked by one routine, bfs_forest, a list-indexed
 breadth-first forest: CrystalGraph.depths, the descent-class split in
@@ -139,26 +138,34 @@ def bfs_forest(roots, adjacency) -> tuple[list[list[int]], list[int], list[int]]
 
 @dataclass(frozen=True)
 class CrystalGraph:
-    """Labelled oriented graph of a connected crystal.
+    """Labelled oriented graph of a connected crystal, stored on reading words.
 
-    Vertices are tableaux (kind 'tableau') or words (kind 'word'), indexed in
-    BFS discovery order from the source with children visited by ascending
+    words[k] is the reading word of vertex k; vertices are indexed in BFS
+    discovery order from the source with children visited by ascending
     label, so the layout is canonical. Edges are (from, to, label) triples.
-    The vertex index and the adjacency maps are derived from those fields on
-    first use, so dataclasses.replace() yields a graph with its own maps;
-    out_edges and in_edges hand them out as read-only views.
+    shape is the shape of a tableau crystal and None for a word crystal.
+    The vertices (the words cut into rows by reading_rows(shape), or the
+    words themselves), the vertex index and the adjacency maps are derived
+    from those fields on first use, so dataclasses.replace() yields a graph
+    with its own; out_edges and in_edges hand the maps out as read-only views.
     """
-    vertices: tuple
+    words: tuple[Word, ...]
     edges: tuple[tuple[int, int, int], ...]
     source: int | None
     max_entry: int
+    shape: Partition | None
 
     @property
     def kind(self) -> str:
-        """'tableau' or 'word', read off the first vertex; () is the empty word
-        and a graph with no vertex is an empty tableau crystal."""
-        first = self.vertices[0] if self.vertices else ((),)
-        return "tableau" if first and isinstance(first[0], tuple) else "word"
+        """'tableau' or 'word', read off shape."""
+        return "word" if self.shape is None else "tableau"
+
+    @cached_property
+    def vertices(self) -> tuple:
+        if self.shape is None:
+            return self.words
+        rows = reading_rows(self.shape)
+        return tuple(tuple(w[row] for row in rows) for w in self.words)
 
     @cached_property
     def _index(self) -> dict:
@@ -242,7 +249,7 @@ def raising_positions(w: Word, max_entry: int) -> list[int]:
     return first_open
 
 
-def _word_bfs(start: Word, max_entry: int) -> tuple[list[Word], tuple]:
+def _word_bfs(start: Word, max_entry: int) -> tuple[tuple[Word, ...], tuple]:
     """Closure of {start} under f_1..f_{max_entry-1}, in BFS order.
 
     Children are visited by ascending label, so vertex k is the k-th word
@@ -265,14 +272,15 @@ def _word_bfs(start: Word, max_entry: int) -> tuple[list[Word], tuple]:
                 words.append(v)
             edges.append((u, k, i))
     edges.sort()
-    return words, tuple(edges)
+    return tuple(words), tuple(edges)
 
 
-def crystal_words(shape: Partition, max_entry: int) -> tuple[list[Word], tuple]:
-    """Reading words and sorted edges of the crystal on the shape, in BFS order.
+def generate_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
+    """The connected crystal of tableaux of the shape with entries <= max_entry.
 
-    The word-level form of generate_crystal: vertex k is the reading word of
-    its k-th tableau and the edges are the same triples. Empty when
+    Breadth-first closure of the highest-weight tableau under all lowering
+    operators, run on its reading word; the graph keeps the words and cuts
+    them into rows only when its vertices are read. Empty when
     max_entry < len(shape), where no filling exists.
     """
     shape = check_partition(shape)
@@ -280,45 +288,30 @@ def crystal_words(shape: Partition, max_entry: int) -> tuple[list[Word], tuple]:
     if max_entry < 1:
         raise InvalidParameters("max_entry must be >= 1")
     if len(shape) > max_entry:
-        return [], ()
-    return _word_bfs(reading_word(highest_weight_tableau(shape)), max_entry)
-
-
-def generate_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
-    """The connected crystal of tableaux of the shape with entries <= max_entry.
-
-    Breadth-first closure of the highest-weight tableau under all lowering
-    operators, run on reading words (crystal_words) and cut back into rows
-    at the end. Empty when max_entry < len(shape), where no filling exists.
-    """
-    shape = check_partition(shape)
-    words, edges = crystal_words(shape, max_entry)
-    if not words:
-        return CrystalGraph((), (), None, max_entry)
-    rows = reading_rows(shape)
-    vertices = tuple(tuple(w[row] for row in rows) for w in words)
-    return CrystalGraph(vertices, edges, 0, max_entry)
+        return CrystalGraph((), (), None, max_entry, shape)
+    start = reading_word(highest_weight_tableau(shape))
+    return CrystalGraph(*_word_bfs(start, max_entry), 0, max_entry, shape)
 
 
 def word_crystal_component(w: Word, max_entry: int) -> CrystalGraph:
     """Connected component of the word crystal containing w.
 
-    The source is reached by exhausting raising operators (the component is
-    graded, so the greedy ascent terminates at its unique source); the
-    component is then generated forward from it.
+    The source is reached by exhausting raising operators, e_i of least i
+    first by raising_positions (the component is graded, so the greedy
+    ascent terminates at its unique source); the component is then
+    generated forward from it. InvalidParameters unless
+    max_entry and the letters are integers and every letter lies in
+    1..max_entry; a word given as a list is read as a tuple.
     """
     (max_entry,) = _check_ints((max_entry,), "max_entry")
+    w = _check_ints(w, "letters")
     if max_entry < 1 or any(not 1 <= letter <= max_entry for letter in w):
         raise InvalidParameters("letters must lie in 1..max_entry")
     current = w
-    raised = True
-    while raised:
-        raised = False
-        for i in range(1, max_entry):
-            up = e_word(current, i)
-            if up is not None:
-                current = up
-                raised = True
-                break
-    words, edges = _word_bfs(current, max_entry)
-    return CrystalGraph(tuple(words), edges, 0, max_entry)
+    while True:
+        up = raising_positions(current, max_entry)
+        i = next((i for i in range(1, max_entry) if up[i] >= 0), 0)
+        if not i:
+            break
+        current = current[:up[i]] + (i,) + current[up[i] + 1:]
+    return CrystalGraph(*_word_bfs(current, max_entry), 0, max_entry, None)

@@ -7,12 +7,13 @@ standardization fibre {T : std(T) = Q}, and an edge T -i-> f_i(T) stays
 inside its class iff no i+1 comes before the last i of the reading word of
 T (the edge rule): then f_i turns the last i into an i+1 and the
 standardization is unchanged; otherwise it changes. descent_classes splits
-a crystal given on reading words by this rule alone, and descent
-compositions are computed only at the class sources. Each class has a
-unique source (the band filling of its standard tableau), a unique sink
-(the source with entries shifted by n-s), and the oriented-graph structure
-of a one-row crystal on a smaller alphabet; those structural facts power
-the counting formulas of tableaux, whose counts this module re-binds.
+a crystal given on reading words by this rule alone; decompose hands it the
+words a CrystalGraph is stored on, and descent compositions are computed
+only at the class sources. Each class has a unique source (the band
+filling of its standard tableau), a unique sink (the source with entries
+shifted by n-s), and the oriented-graph structure of a one-row crystal on
+a smaller alphabet; those structural facts power the counting formulas of
+tableaux, whose counts this module re-binds.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,7 @@ from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Tableau,
     _check_ints, band_letters, check_composition, composition_to_descent_set, count_bm,
-    count_ssyt_formula, descent_composition, descent_count_census, kostka,
-    reading_word, weight_of,
+    count_ssyt_formula, descent_composition, descent_count_census, kostka, weight_of,
 )
 
 
@@ -106,16 +106,16 @@ def decompose(G: CrystalGraph) -> list[Subcomponent]:
     """Split G into its descent classes, sorted by source index.
 
     The classes are the standardization fibres, split off by
-    descent_classes with the edge rule: an edge u -i-> v is internal iff no
-    i+1 comes before the last i of u's reading word. By the theorem above
-    this equals grouping the vertices by descent composition and splitting
-    each group into weakly connected components, the slow oracle kept in
-    the tests. descent_composition is computed once per class, at its
-    source. InternalError unless each class has exactly one source.
+    descent_classes from G.words with the edge rule: an edge u -i-> v is
+    internal iff no i+1 comes before the last i of u's reading word. By the
+    theorem above this equals grouping the vertices by descent composition
+    and splitting each group into weakly connected components, the slow
+    oracle kept in the tests. descent_composition is computed once per
+    class, at its source. InternalError unless each class has exactly one
+    source.
     """
     vertices = G.vertices
-    trees, class_of, internal, sources = descent_classes(
-        [reading_word(T) for T in vertices], G.edges)
+    trees, class_of, internal, sources = descent_classes(G.words, G.edges)
     edges_of: list[list] = [[] for _ in trees]
     for edge in internal:
         edges_of[class_of[edge[0]]].append(edge)
@@ -159,6 +159,7 @@ def canonical_quasicrystal(alpha: Composition, n: int) -> CrystalGraph:
     size m over the alphabet 1..n-s+1.
     """
     alpha = check_composition(alpha)
+    (n,) = _check_ints((n,), "the alphabet bound n")
     if len(alpha) > n:
         raise InvalidParameters("alpha cannot have more parts than the alphabet")
     return generate_crystal((sum(alpha),), n - len(alpha) + 1)

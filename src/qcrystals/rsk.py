@@ -34,9 +34,12 @@ def _insert_row(row: list[int], x: int) -> int | None:
 
 
 def rsk(w: Word) -> RskPair:
-    """Insertion and recording tableaux of w under Schensted row insertion."""
+    """Insertion and recording tableaux of w under Schensted row insertion. EmptyInput
+    for an empty w, then InvalidParameters unless the letters are integers, then
+    EntryOutOfRange for a letter below 1."""
     if not w:
         raise EmptyInput("empty word")
+    w = _check_ints(w, "letters")
     if min(w) < 1:
         raise EntryOutOfRange("letters must be at least 1")
     p_rows: list[list[int]] = []
@@ -54,12 +57,14 @@ def rsk(w: Word) -> RskPair:
                 assert len(p_rows[r]) == before + 1
                 q_rows[r].append(step)
             r += 1
-    return RskPair(from_rows(p_rows), from_rows(q_rows))
+    return RskPair(tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows)))
 
 
 def rsk_inverse(pair: RskPair) -> Word:
-    """The unique word inserting to the pair, by reverse bumping."""
-    P, Q = pair
+    """The unique word inserting to the pair, by reverse bumping. InvalidParameters
+    unless the entries of P and Q are integers, then InvalidPair unless P is
+    semistandard and Q standard of the same shape."""
+    P, Q = map(from_rows, pair)
     if shape_of(P) != shape_of(Q) or not is_standard(Q) or not is_semistandard(P):
         raise InvalidPair("need same-shape (semistandard, standard) tableaux")
     p_rows = [list(row) for row in P]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from .crystal import bfs_forest, generate_crystal, lowering_positions, raising_positions
 from .decomposition import decompose, subcomponent_sink
 from .errors import EmptyInput, InvalidParameters
-from .rsk import evacuate
+from .rsk import rsk_of_rot
 from .tableaux import (
     Composition, Partition, Tableau,
     _check_ints, band_filling, check_composition, check_partition, compositions_of,
@@ -143,13 +143,24 @@ def skeleton_stable(shape: Partition) -> SkeletonGraph:
     return build_skeleton(shape, max_descent_composition_length(shape))
 
 
+def _strata(skel: SkeletonGraph) -> dict[int, tuple[tuple, dict]]:
+    """Descent count d -> (sorted vertices with d descents, induced edges),
+    in ascending d. Each vertex's descent count is computed once; one pass
+    over the sorted vertices and one over the edges, in their order, fill
+    every stratum."""
+    d_of = {T: len(descent_composition(T)) - 1 for T in skel.vertices}
+    strata: dict[int, tuple[list, dict]] = {}
+    for T in sorted(skel.vertices):
+        strata.setdefault(d_of[T], ([], {}))[0].append(T)
+    for (u, v), label in skel.edges.items():
+        if d_of[u] == d_of[v]:
+            strata[d_of[u]][1][u, v] = label
+    return {d: (tuple(vertices), edges) for d, (vertices, edges) in sorted(strata.items())}
+
+
 def induced_by_descent_count(skel: SkeletonGraph, d: int):
     """Induced subgraph on standard tableaux with exactly d descents."""
-    keep = {T for T in skel.vertices
-            if len(descent_composition(T)) - 1 == d}
-    edges = {pair: label for pair, label in skel.edges.items()
-             if pair[0] in keep and pair[1] in keep}
-    return tuple(sorted(keep)), edges
+    return _strata(skel).get(d, ((), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +398,14 @@ def check_dual_equivalence_conjecture(shape: Partition) -> Report:
 
 
 def check_skeleton_strata(shape: Partition) -> Report:
-    """Classify every fixed-descent-count stratum of the stable skeleton.
-
-    Each vertex's descent count is computed once; one pass over the sorted
-    vertices and one over the edges, in their order, give every stratum as
-    induced_by_descent_count would.
-    """
+    """Classify every fixed-descent-count stratum of the stable skeleton,
+    each taken as induced_by_descent_count takes it, in ascending d."""
     skel = skeleton_stable(shape)
-    d_of = {T: len(descent_composition(T)) - 1 for T in skel.vertices}
-    strata: dict[int, tuple[list, dict]] = {}
-    for T in sorted(skel.vertices):
-        strata.setdefault(d_of[T], ([], {}))[0].append(T)
-    for (u, v), label in skel.edges.items():
-        if d_of[u] == d_of[v]:
-            strata[d_of[u]][1][u, v] = label
-    by_d = {d: classify_subgraph(tuple(vertices), edges)
-            for d, (vertices, edges) in sorted(strata.items())}
+    by_d = {d: classify_subgraph(*stratum) for d, stratum in _strata(skel).items()}
     return Report(
         name=f"skeleton strata classification for {skel.shape}",
         passed=OTHER not in by_d.values(),
-        details=tuple(sorted(by_d.items())))
+        details=tuple(by_d.items()))
 
 
 def check_reordering_conjecture(m: int) -> Report:
@@ -463,7 +462,8 @@ def check_evac_duality(shape: Partition, n: int) -> Report:
 
     For each class: its image under evacuation is exactly one class of the
     reversed type, every edge (u -i-> v) maps to (EVAC(v) -(n-i)-> EVAC(u)),
-    and the source maps to the partner's sink.
+    and the source maps to the partner's sink. Each vertex is evacuated as
+    rsk_of_rot(w, n).P from its stored reading word w, as evacuate does.
     """
     shape = check_partition(shape)
     G = generate_crystal(shape, n)
@@ -475,8 +475,7 @@ def check_evac_duality(shape: Partition, n: int) -> Report:
         for k, sub in enumerate(subs):
             for v in sub.vertex_indices:
                 class_of[v] = k
-        evac_index = [G.index_of(evacuate(G.vertices[v], n))
-                      for v in range(len(G.vertices))]
+        evac_index = [G.index_of(rsk_of_rot(w, n).P) for w in G.words]
         for k, sub in enumerate(subs):
             image_classes = {class_of[evac_index[v]] for v in sub.vertex_indices}
             if len(image_classes) != 1:

@@ -15,10 +15,7 @@ from collections import Counter
 from dataclasses import replace
 
 from . import skeleton, symfunc
-from .crystal import (
-    crystal_words, e_tableau, e_word, f_tableau, f_word, generate_crystal,
-    word_crystal_component,
-)
+from .crystal import e_tableau, e_word, f_tableau, f_word, generate_crystal, word_crystal_component
 from .decomposition import (
     QuasicrystalClass, decompose, descent_classes, subcomponent_longest_path,
     subcomponent_sink, verify_subcomponent_iso, weight_matching_bijection,
@@ -414,19 +411,20 @@ def evacuation_suite(max_size: int = 5, alphabet: int = 4) -> Report:
 def _skeleton_by_crystal(shape, n):
     """Vertices and edges of the skeleton through the crystal (slow oracle).
 
-    Builds the whole crystal on reading words, splits it into descent classes
+    Builds the whole crystal, splits its reading words into descent classes
     with the edge rule and keeps, per ordered pair of classes, the crossing
-    edge of least label. Each class's standard tableau is its source's
-    standardized reading word cut into rows, and the vertices are those
-    tableaux in reading-word order.
+    edge of least label; the crystal's tableaux are never cut from the
+    words. Each class's standard tableau is its source's standardized
+    reading word cut into rows, and the vertices are those tableaux in
+    reading-word order.
     """
-    words, crystal_edges = crystal_words(shape, n)
-    _, class_of, _, sources = descent_classes(words, crystal_edges)
+    G = generate_crystal(shape, n)
+    _, class_of, _, sources = descent_classes(G.words, G.edges)
     rows = reading_rows(shape)
     std_of = [tuple(std[row] for row in rows)
-              for std in (standardize_word(words[s]) for s in sources)]
+              for std in (standardize_word(G.words[s]) for s in sources)]
     edges = {}
-    for u, v, i in crystal_edges:
+    for u, v, i in G.edges:
         a, b = class_of[u], class_of[v]
         if a != b:
             key = (std_of[a], std_of[b])

@@ -1,11 +1,11 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
 
 from qcrystals.crystal import (
-    e_tableau, e_word, f_tableau, f_word, generate_crystal, lowering_positions,
+    CrystalGraph, e_tableau, e_word, f_tableau, f_word, generate_crystal, lowering_positions,
     paren_reduce, raising_positions, word_crystal_component,
 )
 from qcrystals.errors import InvalidParameters
@@ -274,6 +274,40 @@ class TestGenerateCrystal:
         assert report.passed, report.details
 
 
+class TestStoredOnReadingWords:
+    def test_fields(self):
+        assert [f.name for f in fields(CrystalGraph)] == \
+            ["words", "edges", "source", "max_entry", "shape"]
+
+    def test_words_are_the_reading_words_of_the_vertices(self):
+        for m in range(1, 6):
+            for shape in partitions_of(m):
+                for n in range(1, 6):
+                    G = generate_crystal(shape, n)
+                    assert G.shape == shape and len(G.words) == len(G.vertices)
+                    for k, vertex in enumerate(G.vertices):
+                        assert G.words[k] == reading_word(vertex), (shape, n, k)
+
+    def test_vertices_are_cut_on_first_use(self):
+        G = generate_crystal((3, 2), 4)
+        assert "vertices" not in vars(G)
+        assert G.index_of(G.vertices[7]) == 7 and "vertices" in vars(G)
+
+    def test_kind_follows_the_shape(self):
+        empty = generate_crystal((2, 1, 1), 2)
+        assert (empty.words, empty.shape, empty.kind) == ((), (2, 1, 1), "tableau")
+        assert empty.vertices == ()
+        word = word_crystal_component((), 3)
+        assert (word.words, word.shape, word.kind) == (((),), None, "word")
+        assert word.vertices is word.words
+
+    def test_replace_keeps_the_words(self):
+        G = generate_crystal((2, 1), 3)
+        H = replace(G, edges=G.edges[:2])
+        assert H.words is G.words and H.shape == G.shape
+        assert H.vertices == G.vertices and H.edges == G.edges[:2]
+
+
 class TestWordCrystal:
     def test_component_of_figure_word(self):
         w = (3, 3, 1, 2, 2, 3, 3, 1, 1, 1, 2, 2, 1, 1)
@@ -305,6 +339,15 @@ class TestWordCrystal:
     def test_alphabet_bound_must_be_an_integer(self, w, bound):
         with pytest.raises(InvalidParameters, match="expected integers for max_entry"):
             word_crystal_component(w, bound)
+
+    @pytest.mark.parametrize("w", [(1, "a"), (1, 1.5)])
+    def test_letters_must_be_integers(self, w):
+        with pytest.raises(InvalidParameters, match="expected integers for letters"):
+            word_crystal_component(w, 3)
+
+    def test_list_word_is_read_as_a_tuple(self):
+        C = word_crystal_component([2, 1], 3)
+        assert C == word_crystal_component((2, 1), 3) and (2, 1) in C.vertices
 
     def test_reachable_from_any_member(self):
         base = word_crystal_component((2, 1, 2), 3)

@@ -1,9 +1,10 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from qcrystals import decomposition, skeleton, symfunc, tableaux
-from qcrystals.crystal import CrystalGraph, generate_crystal
+from qcrystals.crystal import generate_crystal
 from qcrystals.decomposition import (
     QuasicrystalClass, canonical_quasicrystal, count_bm, count_ssyt_formula,
     decompose, descent_count_census, kostka, subcomponent_longest_path,
@@ -67,8 +68,7 @@ class TestDecompose:
     def test_class_with_two_sources_is_an_internal_error(self):
         G = generate_crystal((2,), 3)
         target = G.index_of(T([2, 2]))
-        H = CrystalGraph(G.vertices, tuple(e for e in G.edges if e[1] != target),
-                         G.source, G.max_entry)
+        H = replace(G, edges=tuple(e for e in G.edges if e[1] != target))
         with pytest.raises(InternalError, match="has 2 sources"):
             decompose(H)
 
@@ -118,6 +118,10 @@ class TestCanonicalClass:
     def test_too_many_parts(self):
         with pytest.raises(InvalidParameters):
             canonical_quasicrystal((1, 1, 1), 2)
+
+    def test_alphabet_must_be_an_integer(self):
+        with pytest.raises(InvalidParameters, match="expected integers"):
+            canonical_quasicrystal((1, 2), "3")
 
     def test_signature_helper(self):
         sig = QuasicrystalClass(m=7, s=3, n=4)

@@ -14,7 +14,7 @@ verify.skeleton_suite.
 import pytest
 
 from qcrystals import decomposition, skeleton, tableaux, verify
-from qcrystals.crystal import crystal_words, generate_crystal
+from qcrystals.crystal import generate_crystal
 from qcrystals.decomposition import Subcomponent, decompose, descent_classes
 from qcrystals.errors import InternalError, InvalidParameters
 from qcrystals.skeleton import (
@@ -114,10 +114,10 @@ def test_build_skeleton_equals_the_crystal_route(shape):
 
 def test_classes_are_standardization_fibres():
     for shape, n in SMALL:
-        words, edges = crystal_words(shape, n)
-        _, class_of, _, _ = descent_classes(words, edges)
+        G = generate_crystal(shape, n)
+        _, class_of, _, _ = descent_classes(G.words, G.edges)
         fibre_of = {}
-        for k, w in zip(class_of, words):
+        for k, w in zip(class_of, G.words):
             assert fibre_of.setdefault(standardize_word(w), k) == k
         assert len(fibre_of) == len(set(class_of))
 

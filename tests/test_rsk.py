@@ -6,7 +6,7 @@ import pytest
 from qcrystals.crystal import e_word, f_tableau, f_word, generate_crystal
 from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidPair, InvalidParameters
 from qcrystals.rsk import (
-    SkewTableau, evacuate, jdt_rectify, rot_word,
+    RskPair, SkewTableau, evacuate, jdt_rectify, rot_word,
     rotate180_complement, rsk, rsk_inverse, rsk_of_rot, skew_from_rows,
     skew_reading_word,
 )
@@ -66,6 +66,21 @@ class TestRsk:
                 for w in words:
                     assert descent_composition(rsk(w).Q) == \
                         word_descent_composition(w)
+
+
+class TestNonIntegers:
+    """Letters and entries that are not integers raise InvalidParameters, naming them."""
+
+    @pytest.mark.parametrize("call, arg, named", [
+        (rsk, (1, "a"), "letters"),
+        (rsk, (1.5, 2), "letters"),
+        (rsk, (0, "a"), "letters"),  # checked before the range
+        (rsk_inverse, RskPair(((1, "a"),), ((1, 2),)), "tableau entries"),
+        (rsk_inverse, RskPair(((1, 2),), ((1, 2.0),)), "tableau entries"),
+    ])
+    def test_rejected(self, call, arg, named):
+        with pytest.raises(InvalidParameters, match=named):
+            call(arg)
 
 
 class TestRskInverse:

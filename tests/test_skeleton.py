@@ -137,13 +137,21 @@ class TestClassification:
         assert classify_subgraph(verts, edges) == OTHER
 
     def test_one_pass_strata_equal_the_induced_subgraphs(self):
+        # the oracle filters the vertices and the edges once per descent count
         for m in range(1, 9):
             for shape in partitions_of(m):
                 skel = skeleton_stable(shape)
-                counts = sorted({len(descent_composition(T)) - 1 for T in skel.vertices})
-                expected = tuple((d, classify_subgraph(*induced_by_descent_count(skel, d)))
-                                 for d in counts)
-                assert check_skeleton_strata(shape).details == expected
+                d_of = {T: len(descent_composition(T)) - 1 for T in skel.vertices}
+                expected = []
+                for d in range(-1, m + 1):
+                    keep = {T for T in skel.vertices if d_of[T] == d}
+                    edges = {pair: label for pair, label in skel.edges.items()
+                             if pair[0] in keep and pair[1] in keep}
+                    induced = (tuple(sorted(keep)), edges)
+                    assert induced_by_descent_count(skel, d) == induced, (shape, d)
+                    if keep:
+                        expected.append((d, classify_subgraph(*induced)))
+                assert check_skeleton_strata(shape).details == tuple(expected)
 
     def test_never_other_up_to_size_six(self):
         for m in range(1, 7):
