@@ -11,22 +11,32 @@ tableaux of a fixed shape. One left-to-right scan of a word finds, for every
 i at once, the position f_i changes (lowering_positions), and one
 right-to-left scan does the same for e_i (raising_positions); the skeleton
 takes single steps from band fillings with both. A single word BFS serves
-generate_crystal and word_crystal_component, and a CrystalGraph keeps the
-words it found: a tableau crystal carries its shape and cuts its words into
-rows by tableaux.reading_rows only when its vertices are asked for, so
-callers that work on words (decompose, the skeleton oracle of
-verify.skeleton_suite) never build the tableaux. paren_reduce and the per-i
-operators f_word, e_word, f_tableau and e_tableau apply the rule one letter
-at a time; they are kept as the independent slow oracle that the verify
-suites and the tests compare the generator against.
+generate_crystal and word_crystal_component. It keys each word by its
+integer value in base max_entry + 1, so a step f_i at position p of a word
+of length m adds base ** (m-1-p) to the key, and it builds a child's word
+only when the child is new; Python ints are unbounded, so any alphabet
+takes this one route. The BFS lists the edges sorted, each from a lower to
+a higher vertex index (an edge goes one step deeper, and indices follow
+depth), which lets decomposition.descent_classes split a crystal in one
+forward pass. A CrystalGraph keeps the words the BFS found: a tableau
+crystal carries its shape and cuts its words into rows by
+tableaux.reading_rows, one itemgetter per word, only when its vertices are
+asked for, so callers that work on words (decompose, the skeleton oracle
+of verify.skeleton_suite) never build the tableaux. paren_reduce and the
+per-i operators f_word, e_word, f_tableau and e_tableau apply the rule one
+letter at a time and check their input (InvalidParameters for a
+non-integer i or tableau entry); they are kept as the independent slow
+oracle that the verify suites and the tests compare the generator
+against, and the BFS never calls them.
 
 A finished graph is walked by one routine, bfs_forest, a list-indexed
-breadth-first forest: CrystalGraph.depths, the descent-class split in
-decompose and the skeleton strata classifier all call it.
+breadth-first forest: CrystalGraph.depths and the skeleton strata
+classifier call it.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import InvalidParameters
@@ -59,7 +69,11 @@ class ParenReduction:
 
 
 def paren_reduce(w: Word, i: int) -> ParenReduction:
-    """Single left-to-right stack scan; equivalent to removing coupled pairs."""
+    """Single left-to-right stack scan; equivalent to removing coupled pairs.
+
+    InvalidParameters unless i is an integer.
+    """
+    (i,) = _check_ints((i,), "the operator label i")
     opens: list[int] = []
     closes: list[int] = []
     for pos, letter in enumerate(w):
@@ -74,36 +88,46 @@ def paren_reduce(w: Word, i: int) -> ParenReduction:
 
 
 def f_word(w: Word, i: int) -> Word | None:
-    """Change the letter i of the rightmost unpaired ')' into i+1, or None."""
+    """Change the letter i of the rightmost unpaired ')' into i+1, or None.
+
+    InvalidParameters unless i is an integer (checked by paren_reduce).
+    """
     red = paren_reduce(w, i)
     if not red.unpaired_close_positions:
         return None
     pos = red.unpaired_close_positions[-1]
-    return w[:pos] + (i + 1,) + w[pos + 1:]
+    return w[:pos] + (w[pos] + 1,) + w[pos + 1:]
 
 
 def e_word(w: Word, i: int) -> Word | None:
-    """Change the letter i+1 of the leftmost unpaired '(' into i, or None."""
+    """Change the letter i+1 of the leftmost unpaired '(' into i, or None.
+
+    InvalidParameters unless i is an integer (checked by paren_reduce).
+    """
     red = paren_reduce(w, i)
     if not red.unpaired_open_positions:
         return None
     pos = red.unpaired_open_positions[0]
-    return w[:pos] + (i,) + w[pos + 1:]
+    return w[:pos] + (w[pos] - 1,) + w[pos + 1:]
 
 
 def _apply_on_reading_word(T: Tableau, i: int, word_op) -> Tableau | None:
-    new = word_op(reading_word(T), i)
+    new = word_op(_check_ints(reading_word(T), "tableau entries"), i)
     if new is None:
         return None
     return tuple(new[row] for row in reading_rows(shape_of(T)))
 
 
 def f_tableau(T: Tableau, i: int) -> Tableau | None:
-    """Lowering operator through the reading word; always semistandard when defined."""
+    """Lowering operator through the reading word; always semistandard when defined.
+
+    InvalidParameters unless i and the entries of T are integers.
+    """
     return _apply_on_reading_word(T, i, f_word)
 
 
 def e_tableau(T: Tableau, i: int) -> Tableau | None:
+    """Raising operator through the reading word; InvalidParameters as for f_tableau."""
     return _apply_on_reading_word(T, i, e_word)
 
 
@@ -164,8 +188,9 @@ class CrystalGraph:
     def vertices(self) -> tuple:
         if self.shape is None:
             return self.words
-        rows = reading_rows(self.shape)
-        return tuple(tuple(w[row] for row in rows) for w in self.words)
+        if len(self.shape) == 1:  # a one-item itemgetter returns the bare row
+            return tuple((w,) for w in self.words)
+        return tuple(map(itemgetter(*reading_rows(self.shape)), self.words))
 
     @cached_property
     def _index(self) -> dict:
@@ -253,23 +278,34 @@ def _word_bfs(start: Word, max_entry: int) -> tuple[tuple[Word, ...], tuple]:
     """Closure of {start} under f_1..f_{max_entry-1}, in BFS order.
 
     Children are visited by ascending label, so vertex k is the k-th word
-    discovered; edges are sorted (from, to, label) triples.
+    discovered; edges are sorted (from, to, label) triples, each from a
+    lower to a higher index. The index is keyed by each word's integer
+    value in base max_entry + 1, first letter most significant, and
+    place[p] is what f_i changing position p adds to it.
     """
+    base = max_entry + 1
+    place = [base ** p for p in range(len(start) - 1, -1, -1)]
+    code = 0
+    for letter in start:
+        code = code * base + letter
     words = [start]
-    index = {start: 0}
+    codes = [code]
+    index = {code: 0}
     edges = []
     labels = range(1, max_entry)
     for u, w in enumerate(words):  # words grows while it is walked: a FIFO queue
         last_close = lowering_positions(w, max_entry)
+        code = codes[u]
         for i in labels:
             pos = last_close[i]
             if pos < 0:
                 continue
-            v = w[:pos] + (i + 1,) + w[pos + 1:]
-            k = index.get(v)
+            child = code + place[pos]
+            k = index.get(child)
             if k is None:
-                k = index[v] = len(words)
-                words.append(v)
+                k = index[child] = len(words)
+                words.append(w[:pos] + (i + 1,) + w[pos + 1:])
+                codes.append(child)
             edges.append((u, k, i))
     edges.sort()
     return tuple(words), tuple(edges)

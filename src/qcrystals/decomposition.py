@@ -7,18 +7,22 @@ standardization fibre {T : std(T) = Q}, and an edge T -i-> f_i(T) stays
 inside its class iff no i+1 comes before the last i of the reading word of
 T (the edge rule): then f_i turns the last i into an i+1 and the
 standardization is unchanged; otherwise it changes. descent_classes splits
-a crystal given on reading words by this rule alone; decompose hands it the
-words a CrystalGraph is stored on, and descent compositions are computed
-only at the class sources. Each class has a unique source (the band
-filling of its standard tableau), a unique sink (the source with entries
-shifted by n-s), and the oriented-graph structure of a one-row crystal on
-a smaller alphabet; those structural facts power the counting formulas of
-tableaux, whose counts this module re-binds.
+a crystal given on reading words by this rule alone, in one forward pass
+over its sorted edges: every edge of a generated crystal runs from a lower
+to a higher vertex index, so each vertex's in-edges are read before its
+out-edges, and a vertex either opens a class as its source or takes the
+class of an internal in-edge. decompose hands it the words a CrystalGraph
+is stored on, and descent compositions are computed only at the class
+sources. Each class has a unique source (the band filling of its standard
+tableau), a unique sink (the source with entries shifted by n-s), and the
+oriented-graph structure of a one-row crystal on a smaller alphabet; those
+structural facts power the counting formulas of tableaux, whose counts
+this module re-binds.
 """
 
 from dataclasses import dataclass
 
-from .crystal import CrystalGraph, bfs_forest, generate_crystal
+from .crystal import CrystalGraph, generate_crystal
 from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Tableau,
@@ -65,45 +69,74 @@ def descent_classes(words, edges) -> tuple[list[list[int]], list[int], list, lis
     """Split a crystal given on reading words into its descent classes.
 
     words[u] is the reading word of vertex u and edges are (u, v, i) crystal
-    edges. An edge is internal iff no i+1 comes before the last i of
-    words[u] (the edge rule of the module docstring). Returns (trees,
-    class_of, internal, sources): the crystal.bfs_forest trees of the
-    internal edges, which are the classes, ordered by their lowest vertex
-    index with that vertex first; the index of each vertex's class; the
-    internal edges in the given order; and the one source of each class.
-    InternalError, naming the class with the lowest vertex index, unless
-    every class has exactly one source.
+    edges, sorted, with u < v in each: generate_crystal and
+    word_crystal_component give them so, since every edge goes one step
+    deeper from the source and BFS indices follow depth. An edge is
+    internal iff no i+1 comes before the last i of words[u] (the edge rule
+    of the module docstring). One forward pass over the edges classifies
+    every vertex by its class's source, the one vertex of the class no
+    internal edge enters: when the first edge leaving u is read, every edge
+    entering u already has been, so u is a source if none of them was
+    internal, and an internal edge (u, v, i) gives v the source of u. A
+    vertex offered two sources joins them (a small union, kept toward the
+    lower source), which makes one class with two sources. Returns (classes,
+    class_of, internal, sources): the vertices of each class in ascending
+    order, the classes ordered by their lowest vertex, which is their
+    source; the index of each vertex's class; the internal edges in the
+    given order; and the source of each class. InternalError, naming the
+    class with the lowest vertex index, unless every class has exactly one
+    source.
     """
-    adjacency: list[list[int]] = [[] for _ in words]
-    entered = [False] * len(words)
+    source_of = [-1] * len(words)
+    joined: dict[int, int] = {}  # a source offered with a lower one -> that source
     internal = []
     for edge in edges:
         u, v, i = edge
         w = words[u]
         if i + 1 in w and i in w[w.index(i + 1):]:
             continue
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-        entered[v] = True
         internal.append(edge)
+        s = source_of[u]
+        if s < 0:
+            s = source_of[u] = u
+        t = source_of[v]
+        if t < 0:
+            source_of[v] = s
+        elif t != s:
+            a, b = _joined_root(joined, s), _joined_root(joined, t)
+            if a != b:
+                joined[max(a, b)] = min(a, b)
+    if joined:
+        roots = [_joined_root(joined, s) for s in joined]
+        lowest = min(roots)
+        # a word is the reading word of the one-row tableau (w,)
+        alpha = descent_composition((words[lowest],))
+        raise InternalError(f"descent class {alpha} has {roots.count(lowest) + 1} sources")
 
-    trees = bfs_forest(range(len(words)), adjacency)[0]
-    class_of = [0] * len(words)
+    classes: list[list[int]] = []
+    class_of: list[int] = []
     sources = []
-    for k, tree in enumerate(trees):
-        for v in tree:
-            class_of[v] = k
-        roots = [u for u in tree if not entered[u]]
-        if len(roots) != 1:
-            # a word is the reading word of the one-row tableau (w,)
-            alpha = descent_composition((words[tree[0]],))
-            raise InternalError(f"descent class {alpha} has {len(roots)} sources")
-        sources.append(roots[0])
-    return trees, class_of, internal, sources
+    for v, s in enumerate(source_of):
+        if s < 0 or s == v:
+            class_of.append(len(classes))
+            classes.append([v])
+            sources.append(v)
+        else:
+            k = class_of[s]
+            class_of.append(k)
+            classes[k].append(v)
+    return classes, class_of, internal, sources
+
+
+def _joined_root(joined: dict[int, int], s: int) -> int:
+    """The lowest source that s has been joined with."""
+    while s in joined:
+        s = joined[s]
+    return s
 
 
 def decompose(G: CrystalGraph) -> list[Subcomponent]:
-    """Split G into its descent classes, sorted by source index.
+    """Split the tableau crystal G into its descent classes, sorted by source index.
 
     The classes are the standardization fibres, split off by
     descent_classes from G.words with the edge rule: an edge u -i-> v is
@@ -111,19 +144,20 @@ def decompose(G: CrystalGraph) -> list[Subcomponent]:
     theorem above this equals grouping the vertices by descent composition
     and splitting each group into weakly connected components, the slow
     oracle kept in the tests. descent_composition is computed once per
-    class, at its source. InternalError unless each class has exactly one
-    source.
+    class, at its source. InvalidParameters for a word crystal (G.shape is
+    None), whose vertices are not tableaux; InternalError unless each class
+    has exactly one source.
     """
+    if G.shape is None:
+        raise InvalidParameters("decompose needs a tableau crystal, not a word crystal")
     vertices = G.vertices
-    trees, class_of, internal, sources = descent_classes(G.words, G.edges)
-    edges_of: list[list] = [[] for _ in trees]
+    classes, class_of, internal, sources = descent_classes(G.words, G.edges)
+    edges_of: list[list] = [[] for _ in classes]
     for edge in internal:
         edges_of[class_of[edge[0]]].append(edge)
-    subs = [Subcomponent(descent_composition(vertices[s]), vertices[s], s,
-                         frozenset(tree), tuple(edges))
-            for tree, edges, s in zip(trees, edges_of, sources)]
-    subs.sort(key=lambda s: s.source_index)
-    return subs
+    return [Subcomponent(descent_composition(vertices[s]), vertices[s], s,
+                         frozenset(members), tuple(edges))
+            for members, edges, s in zip(classes, edges_of, sources)]
 
 
 def subcomponent_sink(sub: Subcomponent, n: int) -> Tableau:

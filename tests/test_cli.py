@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -217,6 +218,16 @@ class TestCli:
         payload = json.loads(out)
         assert sorted(tuple(c["type"]) for c in payload["classes"]) == \
             [(1, 2), (2, 1)]
+
+    @pytest.mark.parametrize("sub, digest", [
+        ("crystal", "45cd3cfb767fb96244922775000541f1e5a6c8a5f8079e866e7d253f09140b73"),
+        ("decompose", "f60b5c49081429e1c1d679327a1485ff9ae3516eb57169734e106a5370105f22"),
+    ])
+    def test_json_of_shape_421_is_pinned(self, sub, digest):
+        # sha256 recorded before crystals were generated on integer-keyed words
+        code, out, _ = run_cli([sub, "--shape", "4,2,1", "--max-entry", "5",
+                                "--format", "json"])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_skeleton_text(self):
         code, out, _ = run_cli(["skeleton", "--shape", "4,3"])

@@ -10,7 +10,7 @@ from qcrystals.crystal import (
 )
 from qcrystals.errors import InvalidParameters
 from qcrystals.tableaux import (
-    enumerate_ssyt, highest_weight_tableau, is_semistandard, partitions_of,
+    enumerate_ssyt, highest_weight_tableau, hook_content_count, is_semistandard, partitions_of,
     reading_word, shape_of, weight_of,
 )
 
@@ -128,6 +128,25 @@ class TestWordOperators:
                             assert pos == -1
                         else:
                             assert image == w[:pos] + (letter,) + w[pos + 1:]
+
+
+class TestOperatorInputChecks:
+    @pytest.mark.parametrize("op", [paren_reduce, f_word, e_word])
+    @pytest.mark.parametrize("i", ["x", 1.5, None])
+    def test_label_must_be_an_integer(self, op, i):
+        with pytest.raises(InvalidParameters, match="expected integers for the operator label"):
+            op((1, 2), i)
+
+    @pytest.mark.parametrize("op", [f_tableau, e_tableau])
+    @pytest.mark.parametrize("tableau", [((1, "a"),), ((1, 2.5),), ((1, 1), (None,))])
+    def test_tableau_entries_must_be_integers(self, op, tableau):
+        with pytest.raises(InvalidParameters, match="expected integers for tableau entries"):
+            op(tableau, 1)
+
+    @pytest.mark.parametrize("op", [f_tableau, e_tableau])
+    def test_tableau_label_must_be_an_integer(self, op):
+        with pytest.raises(InvalidParameters, match="expected integers for the operator label"):
+            op(((1, 2),), "1")
 
 
 class TestTableauOperators:
@@ -272,6 +291,47 @@ class TestGenerateCrystal:
         from qcrystals.verify import crystal_suite
         report = crystal_suite(max_size=7, alphabet=5)
         assert report.passed, report.details
+
+
+class TestIntegerKeyedBfs:
+    def test_edges_are_sorted_and_point_forward(self):
+        # descent_classes reads each vertex's in-edges before its out-edges
+        for m in range(1, 6):
+            for shape in partitions_of(m):
+                for n in range(1, 7):
+                    G = generate_crystal(shape, n)
+                    graphs = [G]
+                    if G.words:
+                        graphs += [word_crystal_component(G.words[-1][::-1], n),
+                                   word_crystal_component(G.words[len(G.words) // 2][::-1], n)]
+                    for H in graphs:
+                        assert list(H.edges) == sorted(H.edges), (shape, n)
+                        assert all(u < v for u, v, _ in H.edges), (shape, n)
+
+    @pytest.mark.parametrize("shape, n", [((1,), 300), ((300,), 2)])
+    def test_large_alphabet_or_long_word_matches_the_operator_bfs(self, shape, n):
+        G = generate_crystal(shape, n)
+        start = reading_word(highest_weight_tableau(shape))
+        # the per-operator BFS is keyed by the words themselves
+        assert (G.words, G.edges) == bfs_by_operator(start, n, f_word)
+        assert len(G.words) == len(set(G.words)) == hook_content_count(shape, n)
+        assert G.vertices == tuple((w,) for w in G.words)
+
+    def test_letters_above_255_match_the_operator_bfs(self):
+        C = word_crystal_component((300,), 301)
+        assert C.words[0] == (1,) and (300,) in C.words
+        assert (C.words, C.edges) == bfs_by_operator((1,), 301, f_word)
+
+    def test_the_bfs_calls_no_checked_operator(self, monkeypatch):
+        from qcrystals import crystal
+
+        def refuse(*args):
+            raise AssertionError("checked operator called")
+
+        for name in ("paren_reduce", "f_word", "e_word", "f_tableau", "e_tableau"):
+            monkeypatch.setattr(crystal, name, refuse)
+        assert len(generate_crystal((3, 2), 4).words) == hook_content_count((3, 2), 4)
+        assert len(word_crystal_component((3, 1, 2), 3).words) == 8
 
 
 class TestStoredOnReadingWords:

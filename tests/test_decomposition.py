@@ -4,10 +4,10 @@ from dataclasses import replace
 import pytest
 
 from qcrystals import decomposition, skeleton, symfunc, tableaux
-from qcrystals.crystal import generate_crystal
+from qcrystals.crystal import generate_crystal, word_crystal_component
 from qcrystals.decomposition import (
     QuasicrystalClass, canonical_quasicrystal, count_bm, count_ssyt_formula,
-    decompose, descent_count_census, kostka, subcomponent_longest_path,
+    decompose, descent_classes, descent_count_census, kostka, subcomponent_longest_path,
     subcomponent_sink, verify_subcomponent_iso, weight_matching_bijection,
     weight_multiplicity_in_subcomponent,
 )
@@ -71,6 +71,47 @@ class TestDecompose:
         H = replace(G, edges=tuple(e for e in G.edges if e[1] != target))
         with pytest.raises(InternalError, match="has 2 sources"):
             decompose(H)
+
+
+    @pytest.mark.parametrize("w", [(2, 1), ()])
+    def test_word_crystal_is_refused(self, w):
+        with pytest.raises(InvalidParameters, match="not a word crystal"):
+            decompose(word_crystal_component(w, 3))
+
+
+class TestDescentClassesForwardPass:
+    def test_two_merged_classes_name_the_lowest(self):
+        # sources 1 and 2 meet at 5 before sources 0 and 3 meet at 4
+        words = [(1, 1, 1), (1, 1), (1, 1), (1, 1, 1), (1, 1, 1), (1, 1)]
+        edges = [(0, 4, 1), (1, 5, 1), (2, 5, 1), (3, 4, 1)]
+        with pytest.raises(InternalError, match=r"descent class \(3,\) has 2 sources"):
+            descent_classes(words, edges)
+
+    def test_three_sources_are_counted(self):
+        words = [(1,), (2, 1), (1, 1), (1, 2)]
+        edges = [(0, 3, 1), (1, 3, 1), (2, 3, 1)]
+        # a 2 before the last 1 of (2, 1) makes its edge external
+        with pytest.raises(InternalError, match=r"descent class \(1,\) has 2 sources"):
+            descent_classes(words, edges)
+        words[1] = (1,)
+        with pytest.raises(InternalError, match=r"descent class \(1,\) has 3 sources"):
+            descent_classes(words, edges)
+
+    def test_chained_joins_count_every_source(self):
+        # 0 and 2 join at 4, then 1 and 3 at 5, then 3 and 2 at 6: one class, four sources
+        words = [(1, 1)] * 7
+        edges = [(0, 4, 1), (1, 5, 1), (2, 4, 1), (2, 6, 1), (3, 5, 1), (3, 6, 1)]
+        with pytest.raises(InternalError, match=r"descent class \(2,\) has 4 sources"):
+            descent_classes(words, edges)
+
+    def test_classes_list_their_vertices_in_order(self):
+        G = generate_crystal((3, 2), 4)
+        classes, class_of, internal, sources = descent_classes(G.words, G.edges)
+        assert sources == sorted(sources) == [members[0] for members in classes]
+        assert all(members == sorted(members) for members in classes)
+        assert [class_of[v] for members in classes for v in members] == \
+            [k for k, members in enumerate(classes) for _ in members]
+        assert internal == [e for e in G.edges if class_of[e[0]] == class_of[e[1]]]
 
 
 class TestSinkAndHeight:
