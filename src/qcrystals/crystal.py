@@ -25,8 +25,8 @@ asked for, so callers that work on words (decompose, the skeleton oracle
 of verify.skeleton_suite) never build the tableaux. paren_reduce and the
 per-i operators f_word, e_word, f_tableau and e_tableau apply the rule one
 letter at a time and check their input (InvalidParameters for a
-non-integer i or tableau entry); they are kept as the independent slow
-oracle that the verify suites and the tests compare the generator
+non-integer i, letter or tableau entry); they are kept as the independent
+slow oracle that the verify suites and the tests compare the generator
 against, and the BFS never calls them.
 
 A finished graph is walked by one routine, bfs_forest, a list-indexed
@@ -68,12 +68,11 @@ class ParenReduction:
         return len(self.unpaired_open_positions)
 
 
-def paren_reduce(w: Word, i: int) -> ParenReduction:
-    """Single left-to-right stack scan; equivalent to removing coupled pairs.
-
-    InvalidParameters unless i is an integer.
-    """
+def _checked_reduction(w: Word, i: int) -> tuple[Word, ParenReduction]:
+    """w as a tuple of ints and its reduction for i, by one left-to-right
+    stack scan; InvalidParameters unless i and the letters are integers."""
     (i,) = _check_ints((i,), "the operator label i")
+    w = _check_ints(w, "letters")
     opens: list[int] = []
     closes: list[int] = []
     for pos, letter in enumerate(w):
@@ -84,15 +83,23 @@ def paren_reduce(w: Word, i: int) -> ParenReduction:
                 opens.pop()
             else:
                 closes.append(pos)
-    return ParenReduction(tuple(closes), tuple(opens))
+    return w, ParenReduction(tuple(closes), tuple(opens))
+
+
+def paren_reduce(w: Word, i: int) -> ParenReduction:
+    """Single left-to-right stack scan; equivalent to removing coupled pairs.
+
+    InvalidParameters unless i and the letters of w are integers.
+    """
+    return _checked_reduction(w, i)[1]
 
 
 def f_word(w: Word, i: int) -> Word | None:
     """Change the letter i of the rightmost unpaired ')' into i+1, or None.
 
-    InvalidParameters unless i is an integer (checked by paren_reduce).
+    InvalidParameters unless i and the letters of w are integers.
     """
-    red = paren_reduce(w, i)
+    w, red = _checked_reduction(w, i)
     if not red.unpaired_close_positions:
         return None
     pos = red.unpaired_close_positions[-1]
@@ -102,9 +109,9 @@ def f_word(w: Word, i: int) -> Word | None:
 def e_word(w: Word, i: int) -> Word | None:
     """Change the letter i+1 of the leftmost unpaired '(' into i, or None.
 
-    InvalidParameters unless i is an integer (checked by paren_reduce).
+    InvalidParameters unless i and the letters of w are integers.
     """
-    red = paren_reduce(w, i)
+    w, red = _checked_reduction(w, i)
     if not red.unpaired_open_positions:
         return None
     pos = red.unpaired_open_positions[0]

@@ -16,12 +16,21 @@ The public constructors FExpansion(...) and SchurExpansion(...) check every
 support and coefficient. Results the module builds itself (+, -, scalar *,
 schur_to_f, schur_expansion_to_f, schurify) come from checked expansions or
 from the table, and are wrapped by _Expansion._trusted without a second
-check. parse_f_expansion and parse_schur_expansion check their text in one
-pass and build trusted expansions too: each support is converted to ints
-once and tested there, with the constructors' error types, messages and
-order. The constructors stay the slower oracle the tests compare them with.
+check. Every function that takes an expansion raises InvalidParameters for
+anything else.
+
+parse_f_expansion and parse_schur_expansion read a text in bulk and build
+trusted expansions too. One match against the whole-text grammar accepts
+or rejects it; an accepted text is respelled as a JSON list and its
+numbers are read by one json.loads; the summed supports are tested for
+validity and for a single degree in bulk. Only when a test fails does a
+walk over the chunks or the supports run, to raise the constructors'
+error types and messages in their order. The constructors stay the slower
+oracle the tests compare the parsers with. The formatters spell all the
+supports of an expansion with one json.dumps.
 """
 
+import json
 import operator
 import re
 from collections.abc import Mapping
@@ -32,7 +41,7 @@ from .errors import (
 )
 from .tableaux import (
     Composition, Partition,
-    check_composition, check_partition, composition_to_descent_set,
+    _check_ints, check_composition, check_partition, composition_to_descent_set,
     count_ssyt_formula, descent_composition_counts, is_partition,
 )
 
@@ -131,7 +140,8 @@ class FExpansion(_Expansion):
     def _check_support(support):
         return check_composition(support)
 
-    _is_support = staticmethod(lambda support: min(support) >= 1)
+    # the parser's bulk test of its supports, non-empty tuples of ints
+    _are_supports = staticmethod(lambda supports: min(map(min, supports)) >= 1)
 
 
 class SchurExpansion(_Expansion):
@@ -143,7 +153,7 @@ class SchurExpansion(_Expansion):
     def _check_support(support):
         return check_partition(support)
 
-    _is_support = staticmethod(is_partition)
+    _are_supports = staticmethod(lambda supports: all(map(is_partition, supports)))
 
 
 def _add_terms(terms: dict, census, scale: int) -> None:
@@ -154,6 +164,13 @@ def _add_terms(terms: dict, census, scale: int) -> None:
             terms[support] = total
         else:
             terms.pop(support, None)
+
+
+def _check_expansion(value, cls):
+    """value itself; InvalidParameters unless it is an expansion of class cls."""
+    if not isinstance(value, cls):
+        raise InvalidParameters(f"expected {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def schur_to_f(shape: Partition) -> FExpansion:
@@ -169,7 +186,7 @@ def schur_to_f(shape: Partition) -> FExpansion:
 def schur_expansion_to_f(g: SchurExpansion) -> FExpansion:
     """Linear extension of schur_to_f."""
     terms: dict[Composition, int] = {}
-    for shape, coeff in g.terms.items():
+    for shape, coeff in _check_expansion(g, SchurExpansion).terms.items():
         _add_terms(terms, _schur_to_f_terms(check_partition(shape)), coeff)
     return FExpansion._trusted(terms, g.degree)
 
@@ -182,6 +199,7 @@ def f_to_monomials(alpha: Composition, n: int) -> list[tuple[int, ...]]:
     than there are variables.
     """
     alpha = check_composition(alpha)
+    (n,) = _check_ints((n,), "the number of variables")
     m = sum(alpha)
     strict_after = set(composition_to_descent_set(alpha))
     out = []
@@ -208,7 +226,7 @@ def f_to_monomials(alpha: Composition, n: int) -> list[tuple[int, ...]]:
 
 def leading_support(f: FExpansion) -> Composition:
     """Lexicographically greatest composition with a non-zero coefficient."""
-    if not f.terms:
+    if not _check_expansion(f, FExpansion).terms:
         raise EmptyExpansion("zero expansion has no leading support")
     return max(f.terms)
 
@@ -223,7 +241,7 @@ def schurify(f: FExpansion) -> SchurExpansion:
     EmptyInput for a multiple of F[], as for schur_to_f(()).
     """
     result: dict[Partition, int] = {}
-    work = dict(f.terms)
+    work = dict(_check_expansion(f, FExpansion).terms)
     cap = 2 ** f.degree if f.degree else 1
     for _ in range(cap):
         if not work:
@@ -262,49 +280,79 @@ def plethysm_monomial_count(mu: Partition, lam: Partition, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# text grammar: term ("+" term)*, term := [coeff "*"] BASIS "[" ints "]"
+# text grammar: term ("+" term)*, term := [coeff "*"] BASIS "[" ints "]",
+# the integers spelled in the ASCII digits 0-9
 
-_TERM_RE = re.compile(r"^(?:(-?\d+)\*)?([Fs])\[(-?\d+(?:,-?\d+)*)\]$")
+_TERM = r"(?:-?[0-9]+\*)?{}\[-?[0-9]+(?:,-?[0-9]+)*\]"
+_TERM_RE = re.compile(_TERM.format("([Fs])"))
+_TEXT_RE = {basis: re.compile("{0}(?:\\+{0})*".format(_TERM.format(basis))) for basis in "Fs"}
+_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
 
 
 def _parse_terms(text: str, cls):
-    """The expansion of class cls that text spells, checked in one pass.
+    """The expansion of class cls that text spells.
 
     Raises what cls(terms) would raise for the summed terms, in the same
     order: parse and basis errors for the whole text first, then each
     distinct support in first-seen order, its validity before its degree.
-    Only a support that fails the plain test reaches cls._check_support.
+    A text the grammar accepts is respelled as one flat JSON list, each
+    coefficient before its parts (2*F[3,1]+F[4] reads [2,[3,1],1,[4]]), and
+    its supports and degree are checked in bulk; the per-support walk runs
+    only to name the error a bulk check found.
     """
     if not isinstance(text, str):
         raise InvalidParameters(f"expected expansion text, got {type(text).__name__}")
     compact = "".join(text.split())
     if not compact:
         raise InvalidParameters("empty expansion text")
-    basis, match = cls._basis, _TERM_RE.match
-    terms: dict[tuple, int] = {}
+    basis = cls._basis
+    if not _TEXT_RE[basis].fullmatch(compact):
+        raise _first_bad_chunk(compact, basis)
+    spelled = compact.replace(f"*{basis}[", ",[").replace(f"{basis}[", "1,[").replace("+", ",")
+    try:
+        try:
+            numbers = json.loads(f"[{spelled}]")
+        except json.JSONDecodeError:  # the grammar allows leading zeros, JSON does not
+            numbers = json.loads(f"[{_LEADING_ZEROS.sub('', spelled)}]")
+    except ValueError as exc:  # a number longer than int's digit limit
+        raise InvalidParameters(f"cannot read the expansion text: {exc}") from None
+    coeffs = numbers[::2]
+    terms = dict(zip(map(tuple, numbers[1::2]), coeffs))
+    if len(terms) < len(coeffs):  # a repeated support: sum its coefficients
+        terms = {}
+        for support, coeff in zip(map(tuple, numbers[1::2]), coeffs):
+            terms[support] = terms.get(support, 0) + coeff
+    live = {k: v for k, v in terms.items() if v} if 0 in terms.values() else terms
+    degrees = set(map(sum, live))
+    if len(degrees) > 1 or not cls._are_supports(terms):
+        _raise_in_order(terms, cls)
+    return cls._trusted(live, degrees.pop() if degrees else None)
+
+
+def _first_bad_chunk(compact: str, basis: str) -> InvalidParameters:
+    """The error for the first "+"-separated chunk that is not a term of basis."""
     for chunk in compact.split("+"):
-        found = match(chunk)
+        found = _TERM_RE.fullmatch(chunk)
         if not found:
-            raise InvalidParameters(f"cannot parse term {chunk!r}")
-        coeff, found_basis, parts = found.groups()
-        if found_basis != basis:
-            raise InvalidParameters(
-                f"expected basis {basis!r}, found {found_basis!r} in {chunk!r}")
-        support = tuple(map(int, parts.split(",")))
-        terms[support] = terms.get(support, 0) + (int(coeff) if coeff else 1)
-    is_support, degree = cls._is_support, None
+            return InvalidParameters(f"cannot parse term {chunk!r}")
+        if found[1] != basis:
+            return InvalidParameters(
+                f"expected basis {basis!r}, found {found[1]!r} in {chunk!r}")
+    return InternalError(f"the text grammar rejects {compact!r}, but not one of its terms")
+
+
+def _raise_in_order(terms: dict, cls) -> None:
+    """Raise what cls(terms) raises: each support in order, validity first."""
+    degree = None
     for support, coeff in terms.items():
-        if not is_support(support):
-            cls._check_support(support)
+        cls._check_support(support)
         if coeff:
             if degree is None:
                 degree = sum(support)
             elif sum(support) != degree:
                 raise DegreeMismatch(
                     f"mixed degrees {degree} and {sum(support)} in one expansion")
-    if 0 in terms.values():
-        terms = {k: v for k, v in terms.items() if v}
-    return cls._trusted(terms, degree)
+    raise InternalError("a bulk check of the parsed supports failed, but no support does")
 
 
 def parse_f_expansion(text: str) -> FExpansion:
@@ -320,17 +368,16 @@ def parse_schur_expansion(text: str) -> SchurExpansion:
 def _format_terms(terms: dict, basis: str) -> str:
     if not terms:
         return "0"
-    chunks = []
-    for support in sorted(terms, reverse=True):
-        coeff = terms[support]
-        body = f"{basis}[{','.join(str(p) for p in support)}]"
-        chunks.append(body if coeff == 1 else f"{coeff}*{body}")
-    return " + ".join(chunks)
+    supports = sorted(terms, reverse=True)
+    # one JSON spelling of every support, cut into the parts of each
+    parts = json.dumps(supports, separators=(",", ":"))[2:-2].split("],[")
+    return " + ".join([f"{basis}[{p}]" if c == 1 else f"{c}*{basis}[{p}]"
+                       for c, p in zip(map(terms.__getitem__, supports), parts)])
 
 
 def format_f_expansion(f: FExpansion) -> str:
-    return _format_terms(f.terms, "F")
+    return _format_terms(_check_expansion(f, FExpansion).terms, "F")
 
 
 def format_schur_expansion(g: SchurExpansion) -> str:
-    return _format_terms(g.terms, "s")
+    return _format_terms(_check_expansion(g, SchurExpansion).terms, "s")

@@ -137,6 +137,18 @@ class TestOperatorInputChecks:
         with pytest.raises(InvalidParameters, match="expected integers for the operator label"):
             op((1, 2), i)
 
+    @pytest.mark.parametrize("op", [paren_reduce, f_word, e_word])
+    @pytest.mark.parametrize("word", [(1, "a"), (2.0, 2), (1, None), (1, 2.5, 2)])
+    def test_letters_must_be_integers(self, op, word):
+        # f_word((1, "a"), 1) once gave (2, "a"), e_word((2.0, 2), 1) gave (1.0, 2)
+        with pytest.raises(InvalidParameters, match="expected integers for letters"):
+            op(word, 1)
+
+    @pytest.mark.parametrize("op", [f_word, e_word])
+    def test_any_sequence_of_integer_letters(self, op):
+        assert op([1, 2, 1], 1) == op((1, 2, 1), 1)
+        assert op((True, 2), 1) == op((1, 2), 1)
+
     @pytest.mark.parametrize("op", [f_tableau, e_tableau])
     @pytest.mark.parametrize("tableau", [((1, "a"),), ((1, 2.5),), ((1, 1), (None,))])
     def test_tableau_entries_must_be_integers(self, op, tableau):
@@ -328,7 +340,8 @@ class TestIntegerKeyedBfs:
         def refuse(*args):
             raise AssertionError("checked operator called")
 
-        for name in ("paren_reduce", "f_word", "e_word", "f_tableau", "e_tableau"):
+        for name in ("_checked_reduction", "paren_reduce", "f_word", "e_word", "f_tableau",
+                     "e_tableau"):
             monkeypatch.setattr(crystal, name, refuse)
         assert len(generate_crystal((3, 2), 4).words) == hook_content_count((3, 2), 4)
         assert len(word_crystal_component((3, 1, 2), 3).words) == 8

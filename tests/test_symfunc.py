@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 from collections import Counter
 from math import comb
 
@@ -430,3 +431,143 @@ def test_parsers_read_back_what_format_prints():
             parsed = parse(text)
             assert (parsed.terms, parsed.degree) == (built.terms, built.degree)
             assert _outcome(parse, text) == _outcome(_naive_parse, text, type(built))
+
+
+# ---------------------------------------------------------------------------
+# the bulk reader against a chunk-by-chunk oracle, and the bulk formatter
+# against a term-by-term one
+
+_ORACLE_TERM = re.compile(r"(?:(-?[0-9]+)\*)?([Fs])\[(-?[0-9]+(?:,-?[0-9]+)*)\]")
+
+
+def _oracle_parse(text, cls):
+    """Each chunk matched and read on its own, then the validating constructor."""
+    compact = "".join(text.split())
+    if not compact:
+        raise InvalidParameters("empty expansion text")
+    terms = {}
+    for chunk in compact.split("+"):
+        found = _ORACLE_TERM.fullmatch(chunk)
+        if not found:
+            raise InvalidParameters(f"cannot parse term {chunk!r}")
+        coeff, basis, parts = found.groups()
+        if basis != cls._basis:
+            raise InvalidParameters(f"expected basis {cls._basis!r}, found {basis!r} in {chunk!r}")
+        support = tuple(int(p) for p in parts.split(","))
+        terms[support] = terms.get(support, 0) + (int(coeff) if coeff else 1)
+    return cls(terms)
+
+
+_GARBAGE = ["", "F[]", "s[]", "F[1,]", "F[,1]", "2.5*F[1]", "G[1]", "F[1", "F1]", "*F[1]",
+            "--1*F[1]", "F[1]]", "1*2*F[1]", "F[1-2]", "F[a]", "F[١]", "x", "2*", "-F[1]",
+            "F[+1]", "1e3*F[1]", "F[[1]]", "s[2]F[1]"]
+
+
+def _fuzz_text(rng, basis):
+    """1 to 10 chunks: terms over a small pool of supports, so that supports
+    repeat, with odd numbers, odd supports and, now and then, a wrong basis
+    or a garbage chunk; whitespace anywhere between characters."""
+    m = rng.randint(1, 5)
+    pool = rng.sample(compositions_of(m), min(3, 2 ** (m - 1)))
+    pool += rng.choice([[], [], [], [(1,) * (m + 1)], [(0, m)], [(m, -1)], [(1, m)], [(0,)]])
+
+    def number(value):
+        return rng.choice([str(value)] * 6 + ["0" * rng.randint(1, 3) + str(abs(value))
+                                              if value >= 0 else f"-0{-value}"])
+
+    chunks = []
+    for _ in range(rng.randint(1, 10)):
+        if rng.random() < 0.02:
+            chunks.append(rng.choice(_GARBAGE))
+            continue
+        b = basis if rng.random() > 0.02 else rng.choice("Fs")
+        body = f"{b}[{','.join(number(p) for p in rng.choice(pool))}]"
+        coeff = rng.choice([None, None, None, 1, 2, 3, -1, -2, 0, 12])
+        chunks.append(body if coeff is None else f"{number(coeff)}*{body}")
+    text = "+".join(chunks)
+    return "".join(c + rng.choice(["", "", "", "", " ", "\t", "\n "]) for c in text)
+
+
+def test_bulk_reader_agrees_with_the_chunk_oracle_on_random_texts():
+    rng = random.Random(18)
+    kinds = Counter()
+    for _ in range(20_000):
+        parse, cls = rng.choice([(parse_f_expansion, FExpansion),
+                                 (parse_schur_expansion, SchurExpansion)])
+        text = _fuzz_text(rng, cls._basis)
+        expected = _outcome(_oracle_parse, text, cls)
+        assert _outcome(parse, text) == expected, text
+        kinds[expected[0].__name__] += 1
+    # every outcome is common enough to be tested
+    assert min(kinds[k] for k in ("FExpansion", "SchurExpansion", "InvalidParameters",
+                                  "DegreeMismatch")) > 500, kinds
+
+
+@pytest.mark.parametrize("text", ["9" * 5000 + "*F[1]", "F[1," + "9" * 5000 + "]",
+                                  "F[2] + -" + "1" * 4400 + "*F[2]"])
+def test_numbers_past_the_int_digit_limit_are_refused(text):
+    with pytest.raises(InvalidParameters, match="cannot read the expansion text: Exceeds"):
+        parse_f_expansion(text)
+
+
+def test_leading_zeros_and_ascii_digits():
+    assert parse_f_expansion("0" * 5000 + "2*F[01,002]").terms == {(1, 2): 2}
+    assert parse_f_expansion("-00*F[1] + -007*F[2,00001]").terms == {(2, 1): -7}
+    with pytest.raises(InvalidParameters, match="cannot parse term 'F\\[١\\]'"):
+        parse_f_expansion("F[١]")
+
+
+def _format_term_by_term(terms, basis):
+    """One chunk per support, largest support first."""
+    if not terms:
+        return "0"
+    chunks = []
+    for support in sorted(terms, reverse=True):
+        coeff = terms[support]
+        body = f"{basis}[{','.join(str(p) for p in support)}]"
+        chunks.append(body if coeff == 1 else f"{coeff}*{body}")
+    return " + ".join(chunks)
+
+
+def test_formatters_agree_with_a_term_by_term_spelling():
+    rng = random.Random(19)
+    coefficients = [1, 1, -1, 2, -3, 11, 10, 101, -10 ** 30, 10 ** 40]
+    for _ in range(2000):
+        m = rng.randint(0, 12)
+        cls, fmt, supports = rng.choice([
+            (FExpansion, format_f_expansion, compositions_of(m) if m else [()]),
+            (SchurExpansion, format_schur_expansion, partitions_of(m) if m else [()])])
+        chosen = rng.sample(supports, rng.randint(0, min(40, len(supports))))
+        built = cls({s: rng.choice(coefficients) for s in chosen})
+        assert fmt(built) == _format_term_by_term(built.terms, cls._basis)
+    assert format_f_expansion(FExpansion({(): 3})) == "3*F[]"
+    assert format_schur_expansion(SchurExpansion({(): 1})) == "s[]"
+
+
+def test_every_schur_function_through_size_9_reads_back_from_its_text():
+    for m in range(1, 10):
+        for shape in partitions_of(m):
+            f = schur_to_f(shape)
+            parsed = parse_f_expansion(format_f_expansion(f))
+            assert (parsed.terms, parsed.degree) == (f.terms, f.degree) == (f.terms, m)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: schurify(None), "expected FExpansion, got NoneType"),
+    (lambda: schurify(SchurExpansion({(1,): 1})), "expected FExpansion, got SchurExpansion"),
+    (lambda: is_schur_positive("F[1]"), "expected FExpansion, got str"),
+    (lambda: leading_support({}), "expected FExpansion, got dict"),
+    (lambda: schur_expansion_to_f(None), "expected SchurExpansion, got NoneType"),
+    (lambda: schur_expansion_to_f(FExpansion({(1,): 1})),
+     "expected SchurExpansion, got FExpansion"),
+    (lambda: format_f_expansion(None), "expected FExpansion, got NoneType"),
+    (lambda: format_schur_expansion({(1,): 1}), "expected SchurExpansion, got dict"),
+    (lambda: f_to_monomials((1, 2), "x"),
+     "expected integers for the number of variables, got ('x',)"),
+    (lambda: f_to_monomials((1, 2), 2.0),
+     "expected integers for the number of variables, got (2.0,)"),
+])
+def test_entry_points_refuse_what_is_not_an_expansion(call, expected):
+    with pytest.raises(QCrystalsError) as info:
+        call()
+    assert type(info.value) is InvalidParameters and str(info.value) == expected
