@@ -434,12 +434,14 @@ def check_descent_composition_conditions(shape: Partition, alpha: Composition,
     upper bound s <= n is checked only when an ambient alphabet n is given,
     and condition 5 is s <= |shape|, the cell count: the bound's constant is
     otherwise unspecified.
-    InvalidParameters unless n is None or an integer >= 1.
+    InvalidParameters unless n is None or an integer >= 1; EmptyInput for
+    the empty shape, as descent_composition_counts raises.
     """
     shape = check_partition(shape)
     alpha = check_composition(alpha)
     if n is not None and not (isinstance(n, int) and n >= 1):
         raise InvalidParameters(f"alphabet n must be an integer >= 1, got {n!r}")
+    multiplicity = dict(descent_composition_counts(shape)).get(alpha, 0)
     ell, s = len(shape), len(alpha)
     m = sum(shape)
     padded = list(shape) + [0] * max(0, s - ell)
@@ -450,7 +452,6 @@ def check_descent_composition_conditions(shape: Partition, alpha: Composition,
         ell <= s and (n is None or s <= n),
         s <= m,
     )
-    multiplicity = dict(descent_composition_counts(shape)).get(alpha, 0)
     return Report(
         name=f"descent composition conditions for {alpha} on {shape}",
         passed=all(conditions) or multiplicity == 0,

@@ -8,9 +8,14 @@ subtracting that many standard-tableau expansions strictly lowers the
 leading support, so the loop terminates within one pass per composition.
 
 The coefficient of F_alpha in s_shape counts the standard tableaux of the
-shape with descent composition alpha: the corner-removal table
-tableaux.descent_composition_counts, bound here as _schur_to_f_terms. The
-listing tableaux.syt_descent_compositions checks it in verify and the tests.
+shape with descent composition alpha: the cached corner-removal table
+tableaux._descent_table, a dict in increasing order of the compositions,
+bound here as _schur_to_f_terms (tableaux.descent_composition_counts gives
+it as sorted pairs). All the tables of one size share one tuple per
+composition, so a sum of tables of different shapes finds its keys by
+identity, not by comparing parts. schur_to_f copies a table; everything
+else only reads it. The listing tableaux.syt_descent_compositions checks it
+in verify and the tests.
 
 The public constructors FExpansion(...) and SchurExpansion(...) check every
 support and coefficient. Results the module builds itself (+, -, scalar *,
@@ -27,7 +32,9 @@ validity and for a single degree in bulk. Only when a test fails does a
 walk over the chunks or the supports run, to raise the constructors'
 error types and messages in their order. The constructors stay the slower
 oracle the tests compare the parsers with. The formatters spell all the
-supports of an expansion with one json.dumps.
+supports of an expansion with one json.dumps; a coefficient past int's
+digit limit for text raises InvalidParameters there, as in the parsers,
+while __repr__ keeps int's own ValueError.
 """
 
 import json
@@ -42,11 +49,11 @@ from .errors import (
 from .tableaux import (
     Composition, Partition,
     _check_ints, check_composition, check_partition, composition_to_descent_set,
-    count_ssyt_formula, descent_composition_counts, is_partition,
+    _descent_table, count_ssyt_formula, is_partition,
 )
 
-# the cached (composition, count) table of a shape
-_schur_to_f_terms = descent_composition_counts
+# the cached {composition: count} table of a checked shape, never written to
+_schur_to_f_terms = _descent_table
 
 
 class _Expansion:
@@ -110,7 +117,7 @@ class _Expansion:
             raise DegreeMismatch(
                 f"mixed degrees {self.degree} and {other.degree} in one expansion")
         merged = dict(self.terms)
-        _add_terms(merged, other.terms.items(), scale)
+        _add_terms(merged, other.terms, scale)
         return self._trusted(merged, self.degree if self.terms else other.degree)
 
     def __add__(self, other):
@@ -156,9 +163,9 @@ class SchurExpansion(_Expansion):
     _are_supports = staticmethod(lambda supports: all(map(is_partition, supports)))
 
 
-def _add_terms(terms: dict, census, scale: int) -> None:
+def _add_terms(terms: dict, census: dict, scale: int) -> None:
     """terms += scale * census in place, dropping coefficients that reach zero."""
-    for support, count in census:
+    for support, count in census.items():
         total = terms.get(support, 0) + scale * count
         if total:
             terms[support] = total
@@ -371,8 +378,11 @@ def _format_terms(terms: dict, basis: str) -> str:
     supports = sorted(terms, reverse=True)
     # one JSON spelling of every support, cut into the parts of each
     parts = json.dumps(supports, separators=(",", ":"))[2:-2].split("],[")
-    return " + ".join([f"{basis}[{p}]" if c == 1 else f"{c}*{basis}[{p}]"
-                       for c, p in zip(map(terms.__getitem__, supports), parts)])
+    try:
+        return " + ".join([f"{basis}[{p}]" if c == 1 else f"{c}*{basis}[{p}]"
+                           for c, p in zip(map(terms.__getitem__, supports), parts)])
+    except ValueError as exc:  # a coefficient longer than int's digit limit
+        raise InvalidParameters(f"cannot write the expansion text: {exc}") from None
 
 
 def format_f_expansion(f: FExpansion) -> str:

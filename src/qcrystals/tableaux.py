@@ -62,7 +62,9 @@ def partitions_of(m: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of m, in lexicographically decreasing order.
 
     With max_length, only partitions with at most that many parts.
+    InvalidParameters unless m is an integer >= 1.
     """
+    (m,) = _check_ints((m,), "m")
     if m < 1:
         raise InvalidParameters("m must be >= 1")
     out = []
@@ -84,7 +86,11 @@ def partitions_of(m: int, max_length: int | None = None) -> list[Partition]:
 
 
 def compositions_of(m: int) -> list[Composition]:
-    """All compositions of m (there are 2^(m-1)), in lexicographic order."""
+    """All compositions of m (there are 2^(m-1)), in lexicographic order.
+
+    InvalidParameters unless m is an integer >= 1.
+    """
+    (m,) = _check_ints((m,), "m")
     if m < 1:
         raise InvalidParameters("m must be >= 1")
     out = []
@@ -454,50 +460,72 @@ def hook_content_count(shape: Partition, n: int) -> int:
     return hook_length_count(shape) * contents // factorial(sum(shape))
 
 
-def _corner_counts(shape: Partition, allowed: int, tracked: int) -> dict:
-    """Standard tableaux by (descent mask & tracked, row of the largest entry).
+def _corner_counts(shape: Partition, allowed: int, tracked: int) -> dict[int, int]:
+    """Standard tableaux by one int key, (descent mask & tracked) << b | row,
+    where row is that of the largest entry and b = len(shape).bit_length().
 
-    Bit i-1 of a mask is descent i. In a standard tableau with k cells, k
-    sits in a corner, and k-1 is a descent iff k's row is below that of k-1.
-    So the walk grows the shape a cell at a time from (1,), keeping the
-    counts of each sub-shape of the current size, and drops a branch that
-    puts a descent outside allowed. EmptyInput for the empty shape.
+    Descent d of a tableau of size m is bit m-1-d of a mask (so of allowed
+    and tracked too): the masks in decreasing order then list the descent
+    compositions in increasing lexicographic order. In a standard tableau
+    with k cells, k sits in a corner, and k-1 is a descent iff k's row is
+    below that of k-1. So the walk grows the shape a cell at a time from
+    (1,), keeping the counts of each sub-shape of the current size, and
+    drops a branch that puts a descent outside allowed. EmptyInput for the
+    empty shape.
     """
     if not shape:
         raise EmptyInput("empty tableau")
-    level = {(1,): {(0, 0): 1}}
-    for k in range(2, sum(shape) + 1):
-        bit = 1 << (k - 2)  # descent k-1: k sits in a lower row than k-1
-        barred, kept = not bit & allowed, bit & tracked
-        grown: dict[Partition, dict[tuple[int, int], int]] = {}
+    m, b = sum(shape), len(shape).bit_length()
+    low = (1 << b) - 1
+    level = {(1,): {0: 1}}
+    for k in range(2, m + 1):
+        bit = 1 << (m - k)  # descent k-1: k sits in a lower row than k-1
+        barred, kept = not bit & allowed, (bit & tracked) << b
+        grown: dict[Partition, dict[int, int]] = {}
         for sub, counts in level.items():
             for r in range(min(len(sub) + 1, len(shape))):
                 width = sub[r] + 1 if r < len(sub) else 1
                 if width > shape[r] or (r and width > sub[r - 1]):
                     continue
                 target = grown.setdefault(sub[:r] + (width,) + sub[r + 1:], {})
-                for (mask, row), count in counts.items():
-                    if r > row and barred:
-                        continue
-                    key = (mask | kept if r > row else mask, r)
+                for key, count in counts.items():
+                    row = key & low
+                    if r > row:
+                        if barred:
+                            continue
+                        key |= kept
+                    key = (key ^ row) | r
                     target[key] = target.get(key, 0) + count
         level = grown
     return level[shape]
 
 
 @cache
+def _mask_composition(mask: int, m: int) -> Composition:
+    """The composition of m whose descent d is bit m-1-d of mask (cached, so
+    every table of size m holds one tuple per composition)."""
+    return descent_set_to_composition(
+        [d for d in range(1, m) if mask >> (m - 1 - d) & 1], m)
+
+
+@cache
+def _descent_table(shape: Partition) -> dict[Composition, int]:
+    """{descent composition: number of standard tableaux} of a checked shape,
+    in increasing order of the compositions: the F-expansion of s_shape,
+    _corner_counts tracking every descent (cached; read it, never write it)."""
+    by_mask: dict[int, int] = {}
+    b = len(shape).bit_length()
+    for key, count in _corner_counts(shape, -1, -1).items():  # -1: every bit
+        by_mask[key >> b] = by_mask.get(key >> b, 0) + count
+    m = sum(shape)
+    return {_mask_composition(mask, m): by_mask[mask]
+            for mask in sorted(by_mask, reverse=True)}
+
+
 def descent_composition_counts(shape: Partition) -> tuple[tuple[Composition, int], ...]:
     """Sorted (descent composition, number of standard tableaux) pairs, the
-    F-expansion of s_shape: _corner_counts tracking every descent (cached)."""
-    shape = check_partition(shape)
-    by_mask: dict[int, int] = {}
-    for (mask, _), count in _corner_counts(shape, -1, -1).items():  # -1: every bit
-        by_mask[mask] = by_mask.get(mask, 0) + count
-    m = sum(shape)
-    return tuple(sorted(
-        (descent_set_to_composition([i + 1 for i in range(m - 1) if mask >> i & 1], m),
-         count)
-        for mask, count in by_mask.items()))
+    F-expansion of s_shape, read from the cached table."""
+    return tuple(_descent_table(check_partition(shape)).items())
 
 
 def count_bm(m: int, k: int) -> int:
@@ -558,9 +586,10 @@ def kostka(shape: Partition, mu) -> int:
     mu = _check_ints(mu, "weights")
     if any(p < 0 for p in mu):
         raise InvalidParameters("weights must be non-negative")
-    if sum(mu) != sum(shape):
+    m = sum(shape)
+    if sum(mu) != m:
         raise InvalidParameters("|mu| must equal |shape|")
-    allowed = sum(1 << (d - 1) for d in composition_to_descent_set([p for p in mu if p]))
+    allowed = sum(1 << (m - 1 - d) for d in composition_to_descent_set([p for p in mu if p]))
     return sum(_corner_counts(shape, allowed, 0).values())
 
 

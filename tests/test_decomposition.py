@@ -11,7 +11,7 @@ from qcrystals.decomposition import (
     subcomponent_sink, verify_subcomponent_iso, weight_matching_bijection,
     weight_multiplicity_in_subcomponent,
 )
-from qcrystals.errors import InternalError, InvalidParameters
+from qcrystals.errors import EmptyInput, InternalError, InvalidParameters
 from qcrystals.skeleton import (
     check_descent_composition_conditions, check_reordering_conjecture,
 )
@@ -363,6 +363,16 @@ class TestDescentConditions:
                     pairs += 1
                     failing += not all(details["conditions"])
         assert (pairs, failing) == (1481, 1039)
+
+    def test_empty_shape(self):
+        # once a bare IndexError from shape[0]
+        with pytest.raises(EmptyInput, match="empty tableau"):
+            check_descent_composition_conditions((), (1, 2))
+
+    def test_reordering_size_must_be_an_integer(self):
+        # once a bare TypeError
+        with pytest.raises(InvalidParameters):
+            check_reordering_conjecture(None)
 
     @pytest.mark.parametrize("n", ["x", 0, -3, 1.5])
     def test_alphabet_must_be_a_positive_integer(self, n):

@@ -18,7 +18,8 @@ from qcrystals.symfunc import (
     _schur_to_f_terms, schur_expansion_to_f, schur_to_f, schurify,
 )
 from qcrystals.tableaux import (
-    compositions_of, enumerate_ssyt, partitions_of, syt_descent_compositions, weight_of,
+    compositions_of, descent_composition_counts, enumerate_ssyt, partitions_of,
+    syt_descent_compositions, weight_of,
 )
 
 FIG2_EXPANSION = {
@@ -139,7 +140,32 @@ class TestSchurToF:
         for m in range(1, 11):
             for shape in partitions_of(m):
                 tally = Counter(syt_descent_compositions(shape))
-                assert _schur_to_f_terms(shape) == tuple(sorted(tally.items())), shape
+                assert tuple(_schur_to_f_terms(shape).items()) == tuple(sorted(tally.items())), shape
+
+    def test_every_table_of_one_size_shares_its_composition_keys(self):
+        for m in range(4, 10):
+            first_seen = {}
+            for shape in partitions_of(m):
+                for alpha in _schur_to_f_terms(shape):
+                    assert first_seen.setdefault(alpha, alpha) is alpha, (shape, alpha)
+            assert len(first_seen) == 2 ** (m - 1)
+
+    def test_table_keys_are_in_increasing_order(self):
+        for m in range(1, 11):
+            for shape in partitions_of(m):
+                table = _schur_to_f_terms(shape)
+                assert list(table) == sorted(table), shape
+                assert descent_composition_counts(shape) == tuple(sorted(table.items()))
+
+    def test_writing_into_a_result_leaves_the_table_alone(self):
+        shape = (3, 2, 1)
+        before = descent_composition_counts(shape)
+        f = schur_to_f(shape)
+        f.terms[(6,)] = 5
+        f.terms[(3, 2, 1)] += 7
+        del f.terms[(1, 2, 2, 1)]
+        assert schur_to_f(shape).terms == dict(before)
+        assert descent_composition_counts(shape) == before
 
     def test_empty_shape_rejected(self):
         with pytest.raises(EmptyInput):
@@ -508,6 +534,17 @@ def test_bulk_reader_agrees_with_the_chunk_oracle_on_random_texts():
 def test_numbers_past_the_int_digit_limit_are_refused(text):
     with pytest.raises(InvalidParameters, match="cannot read the expansion text: Exceeds"):
         parse_f_expansion(text)
+
+
+@pytest.mark.parametrize("fmt, expansion", [
+    (format_f_expansion, FExpansion({(2,): 1, (1, 1): 10 ** 5000})),
+    (format_schur_expansion, SchurExpansion({(2,): -(10 ** 5000)})),
+], ids=["F", "s"])
+def test_coefficients_past_the_int_digit_limit_are_not_written(fmt, expansion):
+    with pytest.raises(InvalidParameters, match="cannot write the expansion text: Exceeds"):
+        fmt(expansion)
+    with pytest.raises(ValueError, match="Exceeds"):  # repr keeps int's own error
+        repr(expansion)
 
 
 def test_leading_zeros_and_ascii_digits():

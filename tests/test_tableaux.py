@@ -51,6 +51,16 @@ class TestPartitions:
         with pytest.raises(InvalidParameters):
             partitions_of(0)
 
+    @pytest.mark.parametrize("call, m", [
+        (partitions_of, "x"), (partitions_of, 1.5), (compositions_of, 1.5),
+        (compositions_of, None),
+    ], ids=["partitions-string", "partitions-float", "compositions-float",
+            "compositions-none"])
+    def test_rejects_non_integers(self, call, m):
+        # each once raised a bare TypeError
+        with pytest.raises(InvalidParameters):
+            call(m)
+
 
 class TestRefines:
     def test_incomparable_refinements_of_2425(self):
