@@ -1,11 +1,12 @@
 """Exact arithmetic in the fundamental and Schur bases.
 
 Expansions are homogeneous formal integer combinations: FExpansion over
-compositions, SchurExpansion over partitions. The change of basis from the
-fundamental side back to Schur functions peels off the lexicographically
-greatest support term, which for a symmetric input is always a partition;
-subtracting that many standard-tableau expansions strictly lowers the
-leading support, so the loop terminates within one pass per composition.
+compositions, SchurExpansion over partitions. Each s_lambda holds F_lambda
+once and otherwise only lexicographically smaller compositions, so
+schurify reads the Schur coefficients off the input's own supports in one
+walk down from the greatest, summing their rows, and confirms the result by
+one comparison of that sum with the input. Only inputs whose terms cancel,
+or that are not symmetric, can fall back on a leading-support elimination.
 
 The coefficient of F_alpha in s_shape counts the standard tableaux of the
 shape with descent composition alpha: the cached corner-removal table
@@ -54,6 +55,7 @@ from .tableaux import (
 
 # the cached {composition: count} table of a checked shape, never written to
 _schur_to_f_terms = _descent_table
+_NOT_SYMMETRIC = "leading support {} is not a partition; the input is not a symmetric function"
 
 
 class _Expansion:
@@ -241,27 +243,40 @@ def leading_support(f: FExpansion) -> Composition:
 def schurify(f: FExpansion) -> SchurExpansion:
     """Rewrite a symmetric fundamental-basis combination in the Schur basis.
 
-    Repeatedly: take the leading support (it must be a partition, otherwise
-    the input was not symmetric), move that coefficient onto the Schur side,
-    and subtract the corresponding standard-tableau expansion. Exact over the
-    integers; the iteration cap is unreachable for homogeneous inputs.
+    One walk down the supports of f keeps back, the sum of the rows taken so
+    far: where f and back differ at a partition, the difference is its Schur
+    coefficient and its row joins back; a non-partition stops the walk. If
+    back == f, the result is exact, as the Schur functions form a basis. An
+    input whose back holds a support f lacks goes to _schurify_by_peeling.
     EmptyInput for a multiple of F[], as for schur_to_f(()).
     """
+    terms = _check_expansion(f, FExpansion).terms
+    result, back = {}, {}  # the Schur coefficients, the sum of their rows
+    for alpha in sorted(terms, reverse=True):
+        coeff = terms[alpha] - back.get(alpha, 0)
+        if coeff:
+            if not is_partition(alpha):
+                break
+            result[alpha] = coeff
+            _add_terms(back, _schur_to_f_terms(alpha), coeff)
+    if back == terms:
+        return SchurExpansion._trusted(result, f.degree)
+    if back.keys() <= terms.keys():  # the walk stopped at the leading support of f - back
+        raise NotSymmetric(_NOT_SYMMETRIC.format(alpha))
+    return _schurify_by_peeling(f)
+
+
+def _schurify_by_peeling(f: FExpansion) -> SchurExpansion:
+    """schurify by leading-support elimination, the reference for the walk."""
     result: dict[Partition, int] = {}
-    work = dict(_check_expansion(f, FExpansion).terms)
-    cap = 2 ** f.degree if f.degree else 1
-    for _ in range(cap):
-        if not work:
-            return SchurExpansion._trusted(result, f.degree)
+    work = dict(f.terms)
+    while work:
         alpha = max(work)
         if not is_partition(alpha):
-            raise NotSymmetric(
-                f"leading support {alpha} is not a partition; "
-                "the input is not a symmetric function")
-        coeff = work[alpha]
-        result[alpha] = result.get(alpha, 0) + coeff
+            raise NotSymmetric(_NOT_SYMMETRIC.format(alpha))
+        result[alpha] = coeff = work[alpha]
         _add_terms(work, _schur_to_f_terms(alpha), -coeff)
-    raise InternalError("leading-support elimination failed to terminate")
+    return SchurExpansion._trusted(result, f.degree)
 
 
 def is_schur_positive(f: FExpansion) -> bool:

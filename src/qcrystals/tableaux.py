@@ -62,11 +62,14 @@ def partitions_of(m: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of m, in lexicographically decreasing order.
 
     With max_length, only partitions with at most that many parts.
-    InvalidParameters unless m is an integer >= 1.
+    InvalidParameters unless m is an integer >= 1 and max_length, if given,
+    an integer >= 0.
     """
     (m,) = _check_ints((m,), "m")
     if m < 1:
         raise InvalidParameters("m must be >= 1")
+    if max_length is not None and _check_ints((max_length,), "max_length")[0] < 0:
+        raise InvalidParameters("max_length must be >= 0")
     out = []
 
     def descend(rest, largest, prefix):

@@ -533,13 +533,25 @@ def monomial_suite(max_size: int = 6, alphabet: int = 4) -> Report:
     return _report(f"monomial bridge up to size {max_size}, alphabet {alphabet}", failures)
 
 
+def _schurify_outcome(schurify_fn, f):
+    """The Schur terms schurify_fn gives for f, or the NotSymmetric message."""
+    try:
+        return schurify_fn(f).terms
+    except symfunc.NotSymmetric as exc:
+        return str(exc)
+
+
 def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Report:
     """Exact recovery of random positive Schur combinations.
 
     Also checks schur_to_f, counted by corner removal, against the tally of
     descent compositions over the listed standard tableaux of each shape,
     and that the parsers read back what format_f_expansion and
-    format_schur_expansion print for each random combination.
+    format_schur_expansion print for each random combination. schurify is
+    compared with the leading-support elimination, result or message, on
+    each combination, on a mixed-sign variant (whose terms may cancel) and
+    on one plus a multiple of F[1,m-1] or of one of its own F, mostly not
+    indexed by a partition.
     """
     failures = []
     for m in range(1, max_degree + 1):
@@ -549,7 +561,7 @@ def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Rep
                 failures.append(("expansion vs standard-tableau listing", shape))
             if schurify(f).terms != {shape: 1}:
                 failures.append(("single shape round trip", shape))
-    rng = random.Random(seed)
+    rng, variants = random.Random(seed), random.Random(seed + 1)
     for _ in range(samples):
         m = rng.randint(1, max_degree)
         shapes = partitions_of(m)
@@ -559,6 +571,14 @@ def schurify_suite(samples: int = 50, max_degree: int = 8, seed: int = 5) -> Rep
         f = schur_expansion_to_f(g)
         if schurify(f) != g:
             failures.append(("linear round trip", chosen))
+        mixed = schur_expansion_to_f(SchurExpansion(
+            {shape: variants.choice((-1, 1)) * c for shape, c in chosen.items()}))
+        alpha = variants.choice(((1, m - 1), variants.choice(list(f.terms)))) if m > 1 else (1,)
+        skew = f + FExpansion({alpha: variants.choice((-2, -1, 1, 2))})
+        for case in (f, mixed, skew):
+            if (_schurify_outcome(schurify, case)
+                    != _schurify_outcome(symfunc._schurify_by_peeling, case)):
+                failures.append(("walk vs leading-support elimination", case.terms))
         if not symfunc.is_schur_positive(f):
             failures.append(("positivity", chosen))
         for built, read in ((f, symfunc.parse_f_expansion(symfunc.format_f_expansion(f))),

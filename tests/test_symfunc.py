@@ -1,11 +1,13 @@
 import gc
 import random
 import re
+import time
 from collections import Counter
 from math import comb
 
 import pytest
 
+from qcrystals import symfunc
 from qcrystals.decomposition import count_ssyt_formula
 from qcrystals.errors import (
     DegreeMismatch, EmptyExpansion, EmptyInput, InvalidParameters, NotSymmetric,
@@ -15,7 +17,7 @@ from qcrystals.symfunc import (
     FExpansion, SchurExpansion, f_to_monomials, format_f_expansion,
     format_schur_expansion, is_schur_positive, leading_support,
     parse_f_expansion, parse_schur_expansion, plethysm_monomial_count,
-    _schur_to_f_terms, schur_expansion_to_f, schur_to_f, schurify,
+    _schur_to_f_terms, _schurify_by_peeling, schur_expansion_to_f, schur_to_f, schurify,
 )
 from qcrystals.tableaux import (
     compositions_of, descent_composition_counts, enumerate_ssyt, partitions_of,
@@ -262,6 +264,76 @@ class TestSchurify:
     def test_integer_non_positive_combination(self):
         g = SchurExpansion({(2, 1): 3, (1, 1, 1): -2})
         assert schurify(schur_expansion_to_f(g)) == g
+
+
+def _schurify_outcome(schurify_fn, f):
+    try:
+        return schurify_fn(f).terms
+    except QCrystalsError as exc:
+        return type(exc), str(exc)
+
+
+class TestSchurifyWalk:
+    """The one-walk schurify against the leading-support elimination."""
+
+    def test_agrees_with_the_elimination_through_degree_10(self, monkeypatch):
+        fallbacks = []
+        monkeypatch.setattr(symfunc, "_schurify_by_peeling",
+                            lambda f: fallbacks.append(f) or _schurify_by_peeling(f))
+        rng = random.Random(22)
+        kinds = Counter()
+        for _ in range(1500):
+            m = rng.randint(1, 10)
+            shapes = partitions_of(m)
+            g = {s: rng.choice([-3, -2, -1, 1, 2, 3]) for s in
+                 rng.sample(shapes, rng.randint(1, min(5, len(shapes))))}
+            if rng.random() < 0.5:
+                g = {s: abs(c) for s, c in g.items()}
+            terms = dict(schur_expansion_to_f(SchurExpansion(g)).terms)
+            if rng.random() < 0.4:  # mostly not symmetric: add F[1,m-1] or another F
+                alpha = rng.choice([(1, m - 1), rng.choice(compositions_of(m))]) if m > 1 else (1,)
+                terms[alpha] = terms.get(alpha, 0) + rng.choice([-2, -1, 1, 2])
+            f = FExpansion({tuple(list(k)): v for k, v in terms.items()})  # fresh keys, as parsed
+            got = _schurify_outcome(schurify, f)
+            assert got == _schurify_outcome(_schurify_by_peeling, f), f
+            kinds[type(got) is dict, bool(fallbacks) and fallbacks.pop() is f] += 1
+        # symmetric and not, each both with and without the fallback
+        assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
+
+    @pytest.mark.parametrize("f, expected", [
+        (FExpansion({(2, 1): 1}),
+         (NotSymmetric, "leading support (1, 2) is not a partition; "
+                        "the input is not a symmetric function")),
+        (schur_expansion_to_f(SchurExpansion({(3, 1): 1, (2, 2): -1})),
+         {(3, 1): 1, (2, 2): -1}),
+    ], ids=["F[2,1]", "s31-s22"])
+    def test_falls_back_when_the_rows_reach_a_support_the_input_lacks(
+            self, monkeypatch, f, expected):
+        calls = []
+        monkeypatch.setattr(symfunc, "_schurify_by_peeling",
+                            lambda f: calls.append(f) or _schurify_by_peeling(f))
+        assert _schurify_outcome(schurify, f) == expected
+        assert calls == [f]
+
+    def test_stops_without_the_elimination_at_a_non_partition(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "_schurify_by_peeling", None)
+        f = schur_expansion_to_f(SchurExpansion({(3, 2): 2, (2, 2, 1): 1}))
+        with pytest.raises(NotSymmetric, match=re.escape("(1, 4)")):
+            schurify(f + FExpansion({(1, 4): 3}))
+        assert schurify(f).terms == {(3, 2): 2, (2, 2, 1): 1}
+
+    @pytest.mark.parametrize("terms, expected", [
+        ({(200,): 1}, {(200,): 1}),
+        ({(1,) * 200: 1}, {(1,) * 200: 1}),
+        ({(200,): 2, (1,) * 200: -1}, {(200,): 2, (1,) * 200: -1}),
+        (None, {(198, 2): 1}),
+    ], ids=["F[200]", "F[1^200]", "both", "s198,2"])
+    def test_sparse_inputs_of_degree_200_are_fast(self, terms, expected):
+        # a sweep over the partitions of 200 would visit about 4e12 of them
+        f = schur_to_f((198, 2)) if terms is None else FExpansion(terms)
+        start = time.perf_counter()
+        assert schurify(f).terms == expected
+        assert time.perf_counter() - start < 1
 
 
 class TestSchurPositivity:

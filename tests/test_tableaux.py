@@ -54,8 +54,10 @@ class TestPartitions:
     @pytest.mark.parametrize("call, m", [
         (partitions_of, "x"), (partitions_of, 1.5), (compositions_of, 1.5),
         (compositions_of, None),
+        *[(lambda n: partitions_of(5, max_length=n), n) for n in ("x", 1.5, -1)],
     ], ids=["partitions-string", "partitions-float", "compositions-float",
-            "compositions-none"])
+            "compositions-none", "max-length-string", "max-length-float",
+            "max-length-negative"])
     def test_rejects_non_integers(self, call, m):
         # each once raised a bare TypeError
         with pytest.raises(InvalidParameters):
