@@ -7,13 +7,14 @@ is an involution at fixed n, reverses descent compositions, and intertwines
 the raising and lowering operators with complemented labels.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EmptyInput, EntryOutOfRange, InvalidPair
 from .tableaux import (
     Tableau, Word,
-    _check_ints, from_rows, is_semistandard, is_standard,
+    _check_ints, _is_filling, from_rows, is_semistandard, is_standard,
     reading_word, shape_of, tableau_size,
 )
 
@@ -21,16 +22,6 @@ from .tableaux import (
 class RskPair(NamedTuple):
     P: Tableau
     Q: Tableau
-
-
-def _insert_row(row: list[int], x: int) -> int | None:
-    """Bump the leftmost entry strictly greater than x; None means appended."""
-    for j, y in enumerate(row):
-        if y > x:
-            row[j] = x
-            return y
-    row.append(x)
-    return None
 
 
 def rsk(w: Word) -> RskPair:
@@ -45,18 +36,16 @@ def rsk(w: Word) -> RskPair:
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, x in enumerate(w, 1):
-        r = 0
-        carry: int | None = x
-        while carry is not None:
-            if r == len(p_rows):
-                p_rows.append([])
-                q_rows.append([])
-            before = len(p_rows[r])
-            carry = _insert_row(p_rows[r], carry)
-            if carry is None:
-                assert len(p_rows[r]) == before + 1
-                q_rows[r].append(step)
-            r += 1
+        for p_row, q_row in zip(p_rows, q_rows):
+            j = bisect_right(p_row, x)  # the leftmost entry greater than x bumps
+            if j == len(p_row):
+                p_row.append(x)
+                q_row.append(step)
+                break
+            p_row[j], x = x, p_row[j]
+        else:
+            p_rows.append([x])
+            q_rows.append([step])
     return RskPair(tuple(map(tuple, p_rows)), tuple(map(tuple, q_rows)))
 
 
@@ -73,9 +62,8 @@ def rsk_inverse(pair: RskPair) -> Word:
     for step in range(tableau_size(Q), 0, -1):
         r, c = cell_of[step]
         x = p_rows[r].pop(c)
-        for above in range(r - 1, -1, -1):
-            row = p_rows[above]
-            j = max(k for k in range(len(row)) if row[k] < x)
+        for row in reversed(p_rows[:r]):
+            j = bisect_left(row, x) - 1  # the rightmost entry less than x
             row[j], x = x, row[j]
         letters.append(x)
         if not p_rows[-1]:
@@ -97,20 +85,8 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def is_valid(self) -> bool:
-        """One pass: inner >= 0, inner and outer weakly decreasing, rows
-        weakly increasing, columns strictly increasing."""
-        inner, rows = self.inner, self.rows
-        if len(inner) != len(rows) or (inner and inner[-1] < 0):
-            return False
-        for i, row in enumerate(rows):
-            if any(a > b for a, b in zip(row, row[1:])):
-                return False
-            if i:  # column j holds above[j - above_start] over row[j - start]
-                start, above, above_start = inner[i], rows[i - 1], inner[i - 1]
-                if (start > above_start or start + len(row) > above_start + len(above)
-                        or any(a >= b for a, b in zip(above, row[above_start - start:]))):
-                    return False
-        return True
+        """tableaux._is_filling: the one pass over rows and columns."""
+        return _is_filling(self.inner, self.rows)
 
 
 def skew_from_rows(inner, rows) -> SkewTableau:

@@ -42,6 +42,7 @@ import json
 import operator
 import re
 from collections.abc import Mapping
+from itertools import combinations_with_replacement
 
 from .errors import (
     DegreeMismatch, EmptyExpansion, EmptyInput, InternalError, InvalidParameters,
@@ -49,8 +50,8 @@ from .errors import (
 )
 from .tableaux import (
     Composition, Partition,
-    _check_ints, check_composition, check_partition, composition_to_descent_set,
-    _descent_table, count_ssyt_formula, is_partition,
+    _check_ints, _descent_table, band_letters, check_composition, check_partition,
+    count_ssyt_formula, is_partition,
 )
 
 # the cached {composition: count} table of a checked shape, never written to
@@ -205,31 +206,21 @@ def f_to_monomials(alpha: Composition, n: int) -> list[tuple[int, ...]]:
 
     Monomials are indexed by weakly increasing sequences over 1..n with a
     strict rise at every boundary of alpha; empty when alpha has more parts
-    than there are variables.
+    s than there are variables. By the one-row isomorphism these are the
+    one-row tableaux over 1..n-s+1, each entry in part k raised by k-1, in
+    lexicographic order.
     """
     alpha = check_composition(alpha)
     (n,) = _check_ints((n,), "the number of variables")
-    m = sum(alpha)
-    strict_after = set(composition_to_descent_set(alpha))
+    if len(alpha) > n:
+        return []
+    shifts = band_letters(alpha)
     out = []
-    seq = [0] * m
-
-    def extend(pos, low):
-        if pos == m:
-            exponents = [0] * n
-            for v in seq:
-                exponents[v - 1] += 1
-            out.append(tuple(exponents))
-            return
-        for v in range(low, n + 1):
-            seq[pos] = v
-            extend(pos + 1, v + 1 if pos + 1 in strict_after else v)
-
-    if len(alpha) <= n:
-        extend(0, 1)
-    # extend reaches itself through its closure cell; unlinking it frees the
-    # cells (and out with them) by reference counting, not by the cyclic GC
-    del extend
+    for row in combinations_with_replacement(range(1, n - len(alpha) + 2), sum(alpha)):
+        exponents = [0] * n
+        for v, k in zip(row, shifts):
+            exponents[v + k - 2] += 1
+        out.append(tuple(exponents))
     return out
 
 

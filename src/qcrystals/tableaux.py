@@ -9,15 +9,18 @@ Conventions used everywhere in this package:
 - a tableau is a tuple of row tuples in English notation; rows weakly
   increase, columns strictly increase.
 
+The predicates is_partition, is_semistandard and is_standard answer False,
+never raise, for an object that is not a sequence of integers (of rows).
+
 Cell coordinates are (row, column), 0-indexed internally. All the counting
 lives here and lists no tableau; see _corner_counts for the one walk.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import comb, factorial, prod
-from operator import index
+from operator import ge, index, le, lt
 
 from .errors import EmptyInput, EntryOutOfRange, InvalidParameters
 
@@ -31,9 +34,11 @@ Tableau = tuple[tuple[int, ...], ...]
 # partitions and compositions
 
 def is_partition(parts) -> bool:
-    parts = tuple(parts)
-    return all(p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    try:
+        parts = tuple(map(index, parts))
+    except TypeError:
+        return False
+    return all(map(ge, parts, parts[1:])) and (not parts or parts[-1] >= 1)
 
 
 def _check_ints(values, what: str) -> tuple[int, ...]:
@@ -84,7 +89,9 @@ def partitions_of(m: int, max_length: int | None = None) -> list[Partition]:
             prefix.pop()
 
     descend(m, m, [])
-    del descend  # break the self-reference through the closure cell, see enumerate_ssyt
+    # descend reaches itself through its closure cell; unlinking it frees the
+    # cells (and out with them) by reference counting, not by the cyclic GC
+    del descend
     return out
 
 
@@ -108,7 +115,7 @@ def compositions_of(m: int) -> list[Composition]:
             prefix.pop()
 
     extend(m, [])
-    del extend  # break the self-reference through the closure cell, see enumerate_ssyt
+    del extend  # break the self-reference through the closure cell, see partitions_of
     return out
 
 
@@ -191,23 +198,36 @@ def tableau_size(T: Tableau) -> int:
     return sum(len(row) for row in T)
 
 
-def is_semistandard(T) -> bool:
-    if not is_partition(shape_of(T)):
+def _is_filling(inner, rows) -> bool:
+    """One pass over a skew filling, row i being inner[i] blanks then rows[i]:
+    inner >= 0, inner and outer weakly decreasing, rows weakly increasing,
+    columns strictly increasing."""
+    if len(inner) != len(rows) or (inner and inner[-1] < 0):
         return False
-    for row in T:
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+    for i, row in enumerate(rows):
+        if not all(map(le, row, row[1:])):
             return False
-        if any(v < 1 for v in row):
-            return False
-    for i in range(len(T) - 1):
-        if any(T[i][j] >= T[i + 1][j] for j in range(len(T[i + 1]))):
-            return False
+        if i:  # column j holds above[j - above_start] over row[j - start]
+            start, above, above_start = inner[i], rows[i - 1], inner[i - 1]
+            if (start > above_start or start + len(row) > above_start + len(above)
+                    or not all(map(lt, above, row[above_start - start:]))):
+                return False
     return True
 
 
+def is_semistandard(T) -> bool:
+    try:
+        T = tuple(tuple(map(index, row)) for row in T)
+    except TypeError:
+        return False
+    # rows weakly increase and columns strictly, so T[0][0] is the least entry
+    return (is_partition(shape_of(T)) and (not T or T[0][0] >= 1)
+            and _is_filling((0,) * len(T), T))
+
+
 def is_standard(T) -> bool:
-    m = tableau_size(T)
-    return is_semistandard(T) and sorted(v for row in T for v in row) == list(range(1, m + 1))
+    return is_semistandard(T) and sorted(chain.from_iterable(T)) == list(
+        range(1, tableau_size(T) + 1))
 
 
 def weight_of(T: Tableau, n: int | None = None) -> tuple[int, ...]:
@@ -356,28 +376,10 @@ def enumerate_ssyt(shape: Partition, max_entry: int) -> list[Tableau]:
         raise InvalidParameters("max_entry must be >= 1")
     if len(shape) > max_entry:
         return []
-    rows = [[] for _ in shape]
-    out = []
-
-    def fill(i, j):
-        if i == len(shape):
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        ni, nj = (i, j + 1) if j + 1 < shape[i] else (i + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
-        for v in range(lo, max_entry + 1):
-            rows[i].append(v)
-            fill(ni, nj)
-            rows[i].pop()
-
-    fill(0, 0)
-    # fill reaches itself through its closure cell; unlinking it frees the
-    # cells (and out with them) by reference counting, not by the cyclic GC
-    del fill
+    out = [()]
+    for i, length in enumerate(shape):  # columns strictly increase: row i holds > i
+        rows = list(combinations_with_replacement(range(i + 1, max_entry + 1), length))
+        out = [T + (row,) for T in out for row in rows if not T or all(map(lt, T[-1], row))]
     out.sort(key=reading_word)
     return out
 
@@ -415,7 +417,7 @@ def enumerate_syt_by_parts(shape: Partition, max_parts: int) -> list[Tableau]:
                 row.pop()
 
     place(1, -1, 0)  # entry 1 starts the first part
-    del place  # break the self-reference through the closure cell, see enumerate_ssyt
+    del place  # break the self-reference through the closure cell, see partitions_of
     out.sort(key=reading_word)
     return out
 

@@ -13,6 +13,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 from . import skeleton, symfunc
 from .crystal import e_tableau, e_word, f_tableau, f_word, generate_crystal, word_crystal_component
@@ -322,10 +323,8 @@ def rsk_suite() -> Report:
 
 def _all_words(n, max_len):
     """Every word over 1..n of length 1..max_len, shortest first."""
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (x,) for w in words for x in range(1, n + 1)]
-        yield from words
+    for length in range(1, max_len + 1):
+        yield from product(range(1, n + 1), repeat=length)
 
 
 def jdt_suite() -> Report:

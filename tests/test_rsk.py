@@ -11,7 +11,7 @@ from qcrystals.rsk import (
     skew_reading_word,
 )
 from qcrystals.tableaux import (
-    descent_composition, enumerate_ssyt, partitions_of, reading_word,
+    descent_composition, enumerate_ssyt, is_semistandard, partitions_of, reading_word,
     word_descent_composition,
 )
 
@@ -174,6 +174,24 @@ def _random_skew_parts(rng):
     return tuple(inner), tuple(map(tuple, rows))
 
 
+def _random_straight_rows(rng):
+    """Rows of a tableau listed by enumerate_ssyt (a row of zeros when it lists
+    none), or of one broken in one way: an entry changed, an empty row
+    appended, or the rows reversed."""
+    shape = rng.choice(partitions_of(rng.randint(1, 6)))
+    tableaux = enumerate_ssyt(shape, rng.randint(1, 5))
+    rows = [list(row) for row in (rng.choice(tableaux) if tableaux else ((0,) * shape[0],))]
+    broken = rng.random()
+    if broken < 0.3:
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] = rng.randint(0, 6)
+    elif broken < 0.4:
+        rows.append([])
+    elif broken < 0.5:
+        rows.reverse()
+    return tuple(map(tuple, rows))
+
+
 class TestSkewValidity:
     @pytest.mark.parametrize("inner, rows, valid", [
         ((3, 2, 0), ((1, 1), (2, 2, 3), (1, 2, 3)), True),
@@ -199,6 +217,18 @@ class TestSkewValidity:
             inner, rows = _random_skew_parts(rng)
             valid = SkewTableau(inner, rows).is_valid()
             assert valid is _valid_by_grid(inner, rows), (inner, rows)
+            verdicts.append(valid)
+        assert 300 < sum(verdicts) < 2700
+
+    def test_semistandard_agrees_with_the_grid_definition(self):
+        # a straight tableau: no empty row, positive entries, a zero inner shape
+        rng = random.Random(32)
+        verdicts = []
+        for _ in range(3000):
+            rows = _random_straight_rows(rng)
+            valid = is_semistandard(rows)
+            assert valid is (all(rows) and all(v >= 1 for row in rows for v in row)
+                             and _valid_by_grid((0,) * len(rows), rows)), rows
             verdicts.append(valid)
         assert 300 < sum(verdicts) < 2700
 

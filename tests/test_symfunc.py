@@ -3,6 +3,7 @@ import random
 import re
 import time
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -20,8 +21,8 @@ from qcrystals.symfunc import (
     _schur_to_f_terms, _schurify_by_peeling, schur_expansion_to_f, schur_to_f, schurify,
 )
 from qcrystals.tableaux import (
-    compositions_of, descent_composition_counts, enumerate_ssyt, partitions_of,
-    syt_descent_compositions, weight_of,
+    composition_to_descent_set, compositions_of, descent_composition_counts,
+    enumerate_ssyt, partitions_of, syt_descent_compositions, weight_of,
 )
 
 FIG2_EXPANSION = {
@@ -207,6 +208,23 @@ class TestFToMonomials:
                 for n in range(1, 6):
                     expected = comb(m + n - s, n - s) if n >= s else 0
                     assert len(f_to_monomials(alpha, n)) == expected
+
+    def test_equals_the_filtered_weakly_increasing_sequences_in_order(self):
+        for m in range(1, 7):
+            for n in range(1, 6):
+                letters = range(1, n + 1)
+                weak = [seq for seq in product(letters, repeat=m) if list(seq) == sorted(seq)]
+                for alpha in compositions_of(m):
+                    rises = composition_to_descent_set(alpha)
+                    assert f_to_monomials(alpha, n) == [
+                        tuple(map(seq.count, letters)) for seq in weak
+                        if all(seq[d - 1] < seq[d] for d in rises)]
+        assert f_to_monomials((), -1) == []
+
+    def test_long_part_needs_no_recursion(self):
+        monomials = f_to_monomials((1000,), 2)
+        assert len(monomials) == 1001
+        assert monomials[0] == (1000, 0) and monomials[-1] == (0, 1000)
 
     def test_monomials_of_whole_shape(self):
         # summing over standard-tableau types recovers all tableau monomials

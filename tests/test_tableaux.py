@@ -3,12 +3,13 @@ import gc
 import pytest
 
 from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidParameters
+from qcrystals.symfunc import f_to_monomials
 from qcrystals.tableaux import (
     band_cells, band_filling, band_letters, bands_mergeable, check_composition,
     check_partition, compositions_of, count_bm, count_ssyt_formula, descent_composition,
     destandardize, enumerate_ssyt, enumerate_syt, enumerate_syt_by_parts,
     highest_weight_tableau, hook_content_count, hook_length_count, is_horizontal_band, kostka,
-    is_semistandard, is_standard, minimal_parsing, partitions_of,
+    is_partition, is_semistandard, is_standard, minimal_parsing, partitions_of,
     reading_rows, reading_word, refines, shape_of, sources_of_type,
     standardize_tableau, standardize_word,
     descent_set_to_composition, from_rows, syt_descent_compositions,
@@ -254,6 +255,22 @@ class TestStandardizeTableau:
                 assert descent_composition(std) == descent_composition(t)
 
 
+class TestPredicates:
+    @pytest.mark.parametrize("bad", [
+        None, "x", 1.5, ((1, "a"),), ("a",), [[1.5, 2]], (2.0, 1.0), [None]])
+    def test_answer_false_for_a_non_integer_object(self, bad):
+        assert is_partition(bad) is False
+        assert is_semistandard(bad) is False
+        assert is_standard(bad) is False
+
+    def test_integer_inputs(self):
+        assert is_partition([3, 1, 1]) and is_partition(())
+        assert not is_partition((1, 2)) and not is_partition((2, 0))
+        assert is_semistandard([[1, 1], [2]]) and is_standard(((1, 2), (3,)))
+        assert not is_semistandard(((0, 1),)) and not is_semistandard(((1,), ()))
+        assert not is_standard(((1, 1), (2,)))
+
+
 class TestEnumeration:
     def test_ssyt_counts(self):
         assert len(enumerate_ssyt((4, 3), 4)) == 140
@@ -269,6 +286,12 @@ class TestEnumeration:
         seen = enumerate_ssyt((2, 1), 3)
         assert [reading_word(t) for t in seen] == sorted(reading_word(t) for t in seen)
 
+    def test_long_row_needs_no_recursion(self):
+        # a cell-by-cell recursion would pass the interpreter's depth limit
+        ssyt = enumerate_ssyt((1000,), 2)
+        assert len(ssyt) == 1001
+        assert ssyt[0] == ((1,) * 1000,) and ssyt[-1] == ((2,) * 1000,)
+
     def test_syt_counts(self):
         assert len(enumerate_syt((4, 3))) == 14
         assert len(enumerate_syt((5,))) == 1
@@ -280,8 +303,9 @@ class TestEnumeration:
         (enumerate_ssyt, ((3, 2), 4)),
         (partitions_of, (7,)),
         (compositions_of, (6,)),
+        (f_to_monomials, ((2, 3, 2), 4)),
     ], ids=["enumerate_syt", "enumerate_syt_by_parts", "enumerate_ssyt",
-            "partitions_of", "compositions_of"])
+            "partitions_of", "compositions_of", "f_to_monomials"])
     def test_leaves_no_reference_cycles(self, fn, args):
         gc.disable()
         try:
