@@ -18,11 +18,16 @@ only when the child is new; Python ints are unbounded, so any alphabet
 takes this one route. The BFS lists the edges sorted, each from a lower to
 a higher vertex index (an edge goes one step deeper, and indices follow
 depth), which lets decomposition.descent_classes split a crystal in one
-forward pass. A CrystalGraph keeps the words the BFS found: a tableau
-crystal carries its shape and cuts its words into rows by
-tableaux.reading_rows, one itemgetter per word, only when its vertices are
-asked for, so callers that work on words (decompose, the skeleton oracle
-of verify.skeleton_suite) never build the tableaux. paren_reduce and the
+forward pass. The scan that finds a word's f_i positions also yields its
+crossing mask: bit i is set iff some i+1 comes before some i, which is
+when f_i leaves the descent class. The graph keeps the masks as a private
+cached property, seeded by the BFS and otherwise recomputed from the
+words, so descent_classes tests one bit per edge. A CrystalGraph keeps the
+words the BFS found: a tableau crystal carries its shape and cuts its
+words into rows by tableaux.reading_rows, one itemgetter per word, only
+when its vertices are asked for, so callers that work on words (decompose,
+which cuts only its class sources, and the skeleton oracle of
+verify.skeleton_suite) never build every tableau. paren_reduce and the
 per-i operators f_word, e_word, f_tableau and e_tableau apply the rule one
 letter at a time and check their input (InvalidParameters for a
 non-integer i, letter or tableau entry); they are kept as the independent
@@ -176,9 +181,10 @@ class CrystalGraph:
     label, so the layout is canonical. Edges are (from, to, label) triples.
     shape is the shape of a tableau crystal and None for a word crystal.
     The vertices (the words cut into rows by reading_rows(shape), or the
-    words themselves), the vertex index and the adjacency maps are derived
-    from those fields on first use, so dataclasses.replace() yields a graph
-    with its own; out_edges and in_edges hand the maps out as read-only views.
+    words themselves), the crossing masks, the vertex index and the
+    adjacency maps are derived from those fields on first use, so
+    dataclasses.replace() yields a graph with its own; out_edges and
+    in_edges hand the maps out as read-only views.
     """
     words: tuple[Word, ...]
     edges: tuple[tuple[int, int, int], ...]
@@ -198,6 +204,13 @@ class CrystalGraph:
         if len(self.shape) == 1:  # a one-item itemgetter returns the bare row
             return tuple((w,) for w in self.words)
         return tuple(map(itemgetter(*reading_rows(self.shape)), self.words))
+
+    @cached_property
+    def _crossings(self) -> tuple[int, ...]:
+        """The crossing mask of each word (_crossing_mask): bit i of entry k
+        is set iff f_i leaves the descent class of vertex k. The BFS seeds
+        it from its scan; it depends on the words alone."""
+        return tuple(map(_crossing_mask, self.words))
 
     @cached_property
     def _index(self) -> dict:
@@ -229,15 +242,15 @@ class CrystalGraph:
         return self._in.get(v, _NO_EDGES)
 
     def sources(self) -> list[int]:
-        return [k for k in range(len(self.vertices)) if not self.in_edges(k)]
+        return [k for k in range(len(self.words)) if not self.in_edges(k)]
 
     def sinks(self) -> list[int]:
-        return [k for k in range(len(self.vertices)) if not self.out_edges(k)]
+        return [k for k in range(len(self.words)) if not self.out_edges(k)]
 
     def depths(self) -> list[int]:
         """BFS distance of every vertex from the source, -1 where unreached."""
         roots = () if self.source is None else (self.source,)
-        out = [self.out_edges(u).values() for u in range(len(self.vertices))]
+        out = [self.out_edges(u).values() for u in range(len(self.words))]
         return bfs_forest(roots, out)[2]
 
 
@@ -247,7 +260,7 @@ def lowering_positions(w: Word, max_entry: int) -> list[int]:
     One left-to-right scan serves every i: open_count[a] counts the letters a
     not yet closed by a later a-1, and a letter a either closes one of the
     open a+1 or is the newest unpaired ')' for i = a. Entry max_entry is
-    not an operator and is never read.
+    not an operator and is never read. _word_bfs runs the same scan inline.
     """
     open_count = [0] * (max_entry + 2)
     last_close = [-1] * (max_entry + 1)
@@ -281,14 +294,29 @@ def raising_positions(w: Word, max_entry: int) -> list[int]:
     return first_open
 
 
-def _word_bfs(start: Word, max_entry: int) -> tuple[tuple[Word, ...], tuple]:
-    """Closure of {start} under f_1..f_{max_entry-1}, in BFS order.
+def _crossing_mask(w: Word) -> int:
+    """Bit i is set iff some i+1 comes before some i in w: then f_i, where it
+    is defined, changes the standardization of w (the edge rule of
+    decomposition). A second route to what _word_bfs's scan finds."""
+    mask = seen = 0
+    for letter in w:
+        seen |= 1 << letter
+        if seen >> (letter + 1) & 1:
+            mask |= 1 << letter
+    return mask
+
+
+def _word_bfs(start: Word, max_entry: int, shape: Partition | None) -> CrystalGraph:
+    """The graph of the closure of {start} under f_1..f_{max_entry-1}, in BFS order.
 
     Children are visited by ascending label, so vertex k is the k-th word
     discovered; edges are sorted (from, to, label) triples, each from a
     lower to a higher index. The index is keyed by each word's integer
     value in base max_entry + 1, first letter most significant, and
-    place[p] is what f_i changing position p adds to it.
+    place[p] is what f_i changing position p adds to it. Each word is
+    scanned once as in lowering_positions; the scan also sets bit a of the
+    word's crossing mask when a letter a closes an earlier open a+1, which
+    happens iff some a+1 comes before some a, and the graph keeps the masks.
     """
     base = max_entry + 1
     place = [base ** p for p in range(len(start) - 1, -1, -1)]
@@ -299,9 +327,20 @@ def _word_bfs(start: Word, max_entry: int) -> tuple[tuple[Word, ...], tuple]:
     codes = [code]
     index = {code: 0}
     edges = []
+    crossings = []
     labels = range(1, max_entry)
     for u, w in enumerate(words):  # words grows while it is walked: a FIFO queue
-        last_close = lowering_positions(w, max_entry)
+        open_count = [0] * (max_entry + 2)
+        last_close = [-1] * (max_entry + 1)
+        mask = 0
+        for pos, letter in enumerate(w):
+            if open_count[letter + 1]:
+                open_count[letter + 1] -= 1
+                mask |= 1 << letter
+            else:
+                last_close[letter] = pos
+            open_count[letter] += 1
+        crossings.append(mask)
         code = codes[u]
         for i in labels:
             pos = last_close[i]
@@ -315,7 +354,9 @@ def _word_bfs(start: Word, max_entry: int) -> tuple[tuple[Word, ...], tuple]:
                 codes.append(child)
             edges.append((u, k, i))
     edges.sort()
-    return tuple(words), tuple(edges)
+    G = CrystalGraph(tuple(words), tuple(edges), 0, max_entry, shape)
+    vars(G)["_crossings"] = tuple(crossings)  # seeds the cached property
+    return G
 
 
 def generate_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
@@ -333,7 +374,7 @@ def generate_crystal(shape: Partition, max_entry: int) -> CrystalGraph:
     if len(shape) > max_entry:
         return CrystalGraph((), (), None, max_entry, shape)
     start = reading_word(highest_weight_tableau(shape))
-    return CrystalGraph(*_word_bfs(start, max_entry), 0, max_entry, shape)
+    return _word_bfs(start, max_entry, shape)
 
 
 def word_crystal_component(w: Word, max_entry: int) -> CrystalGraph:
@@ -357,4 +398,4 @@ def word_crystal_component(w: Word, max_entry: int) -> CrystalGraph:
         if not i:
             break
         current = current[:up[i]] + (i,) + current[up[i] + 1:]
-    return CrystalGraph(*_word_bfs(current, max_entry), 0, max_entry, None)
+    return _word_bfs(current, max_entry, None)

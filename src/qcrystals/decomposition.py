@@ -6,28 +6,32 @@ of the shape, matching s_lambda = sum_Q F_Des(Q). Each class is the
 standardization fibre {T : std(T) = Q}, and an edge T -i-> f_i(T) stays
 inside its class iff no i+1 comes before the last i of the reading word of
 T (the edge rule): then f_i turns the last i into an i+1 and the
-standardization is unchanged; otherwise it changes. descent_classes splits
-a crystal given on reading words by this rule alone, in one forward pass
-over its sorted edges: every edge of a generated crystal runs from a lower
-to a higher vertex index, so each vertex's in-edges are read before its
-out-edges, and a vertex either opens a class as its source or takes the
-class of an internal in-edge. decompose hands it the words a CrystalGraph
-is stored on, and descent compositions are computed only at the class
-sources. Each class has a unique source (the band filling of its standard
-tableau), a unique sink (the source with entries shifted by n-s), and the
-oriented-graph structure of a one-row crystal on a smaller alphabet; those
-structural facts power the counting formulas of tableaux, whose counts
-this module re-binds.
+standardization is unchanged; otherwise it changes. The rule is read as one
+bit per edge: bit i of T's crossing mask, set iff some i+1 comes before
+some i in the word, which the crystal's BFS finds in the scan that finds
+f_i. descent_classes splits a crystal given on reading words by this rule
+alone, in one forward pass over its sorted edges: every edge of a generated
+crystal runs from a lower to a higher vertex index, so each vertex's
+in-edges are read before its out-edges, and a vertex either opens a class
+as its source or takes the class of an internal in-edge. decompose hands it
+the words and masks a CrystalGraph keeps; only the class sources are cut
+into tableaux, and descent compositions are computed only there. Each class
+has a unique source (the band filling of its standard tableau), a unique
+sink (the source with entries shifted by n-s), and the oriented-graph
+structure of a one-row crystal on a smaller alphabet; those structural
+facts power the counting formulas of tableaux, whose counts this module
+re-binds.
 """
 
 from dataclasses import dataclass
 
-from .crystal import CrystalGraph, generate_crystal
+from .crystal import CrystalGraph, _crossing_mask, generate_crystal
 from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Tableau,
     _check_ints, band_letters, check_composition, composition_to_descent_set, count_bm,
-    count_ssyt_formula, descent_composition, descent_count_census, kostka, weight_of,
+    count_ssyt_formula, descent_composition, descent_count_census, kostka, reading_rows,
+    weight_of,
 )
 
 
@@ -65,35 +69,39 @@ class QuasicrystalClass:
         return count_bm(self.m, self.n - self.s + 1)
 
 
-def descent_classes(words, edges) -> tuple[list[list[int]], list[int], list, list[int]]:
+def descent_classes(words, edges,
+                    crossings=None) -> tuple[list[list[int]], list[int], list, list[int]]:
     """Split a crystal given on reading words into its descent classes.
 
     words[u] is the reading word of vertex u and edges are (u, v, i) crystal
     edges, sorted, with u < v in each: generate_crystal and
     word_crystal_component give them so, since every edge goes one step
-    deeper from the source and BFS indices follow depth. An edge is
-    internal iff no i+1 comes before the last i of words[u] (the edge rule
-    of the module docstring). One forward pass over the edges classifies
-    every vertex by its class's source, the one vertex of the class no
-    internal edge enters: when the first edge leaving u is read, every edge
-    entering u already has been, so u is a source if none of them was
-    internal, and an internal edge (u, v, i) gives v the source of u. A
-    vertex offered two sources joins them (a small union, kept toward the
-    lower source), which makes one class with two sources. Returns (classes,
-    class_of, internal, sources): the vertices of each class in ascending
-    order, the classes ordered by their lowest vertex, which is their
-    source; the index of each vertex's class; the internal edges in the
-    given order; and the source of each class. InternalError, naming the
-    class with the lowest vertex index, unless every class has exactly one
-    source.
+    deeper from the source and BFS indices follow depth. An edge is internal
+    iff no i+1 comes before the last i of words[u] (the edge rule of the
+    module docstring), read as bit i of crossings[u], the crossing mask of
+    words[u]; the masks are computed from the words unless given (a
+    CrystalGraph keeps them, seeded by its BFS). One forward pass over the
+    edges classifies every vertex by its class's source, the one vertex of
+    the class no internal edge enters: when the first edge leaving u is
+    read, every edge entering u already has been, so u is a source if none
+    of them was internal, and an internal edge (u, v, i) gives v the source
+    of u. A vertex offered two sources joins them (a small union, kept
+    toward the lower source), which makes one class with two sources.
+    Returns (classes, class_of, internal, sources): the vertices of each
+    class in ascending order, the classes ordered by their lowest vertex,
+    which is their source; the index of each vertex's class; the internal
+    edges in the given order; and the source of each class. InternalError,
+    naming the class with the lowest vertex index, unless every class has
+    exactly one source.
     """
+    if crossings is None:
+        crossings = list(map(_crossing_mask, words))
     source_of = [-1] * len(words)
     joined: dict[int, int] = {}  # a source offered with a lower one -> that source
     internal = []
     for edge in edges:
         u, v, i = edge
-        w = words[u]
-        if i + 1 in w and i in w[w.index(i + 1):]:
+        if crossings[u] >> i & 1:
             continue
         internal.append(edge)
         s = source_of[u]
@@ -140,24 +148,29 @@ def decompose(G: CrystalGraph) -> list[Subcomponent]:
 
     The classes are the standardization fibres, split off by
     descent_classes from G.words with the edge rule: an edge u -i-> v is
-    internal iff no i+1 comes before the last i of u's reading word. By the
-    theorem above this equals grouping the vertices by descent composition
-    and splitting each group into weakly connected components, the slow
-    oracle kept in the tests. descent_composition is computed once per
-    class, at its source. InvalidParameters for a word crystal (G.shape is
-    None), whose vertices are not tableaux; InternalError unless each class
-    has exactly one source.
+    internal iff no i+1 comes before the last i of u's reading word, one
+    bit of the crossing mask G keeps per vertex. By the theorem above this
+    equals grouping the vertices by descent composition and splitting each
+    group into weakly connected components, the slow oracle kept in the
+    tests. Only the class sources are cut into rows, and
+    descent_composition is computed once per class, at its source.
+    InvalidParameters unless G is a tableau crystal: for a word crystal
+    (G.shape is None), whose vertices are not tableaux, and for anything
+    that is not a CrystalGraph; InternalError unless each class has exactly
+    one source.
     """
+    if not isinstance(G, CrystalGraph):
+        raise InvalidParameters(f"decompose needs a tableau crystal, not a {type(G).__name__}")
     if G.shape is None:
         raise InvalidParameters("decompose needs a tableau crystal, not a word crystal")
-    vertices = G.vertices
-    classes, class_of, internal, sources = descent_classes(G.words, G.edges)
+    classes, class_of, internal, sources = descent_classes(G.words, G.edges, G._crossings)
     edges_of: list[list] = [[] for _ in classes]
     for edge in internal:
         edges_of[class_of[edge[0]]].append(edge)
-    return [Subcomponent(descent_composition(vertices[s]), vertices[s], s,
-                         frozenset(members), tuple(edges))
-            for members, edges, s in zip(classes, edges_of, sources)]
+    rows = reading_rows(G.shape)
+    tops = [tuple(G.words[s][row] for row in rows) for s in sources]
+    return [Subcomponent(descent_composition(T), T, s, frozenset(members), tuple(edges))
+            for members, edges, s, T in zip(classes, edges_of, sources, tops)]
 
 
 def subcomponent_sink(sub: Subcomponent, n: int) -> Tableau:

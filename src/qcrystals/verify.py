@@ -411,14 +411,14 @@ def _skeleton_by_crystal(shape, n):
     """Vertices and edges of the skeleton through the crystal (slow oracle).
 
     Builds the whole crystal, splits its reading words into descent classes
-    with the edge rule and keeps, per ordered pair of classes, the crossing
-    edge of least label; the crystal's tableaux are never cut from the
-    words. Each class's standard tableau is its source's standardized
-    reading word cut into rows, and the vertices are those tableaux in
-    reading-word order.
+    with the edge rule, read off the crossing masks its BFS kept, and keeps,
+    per ordered pair of classes, the crossing edge of least label; the
+    crystal's tableaux are never cut from the words. Each class's standard
+    tableau is its source's standardized reading word cut into rows, and
+    the vertices are those tableaux in reading-word order.
     """
     G = generate_crystal(shape, n)
-    _, class_of, _, sources = descent_classes(G.words, G.edges)
+    _, class_of, _, sources = descent_classes(G.words, G.edges, G._crossings)
     rows = reading_rows(shape)
     std_of = [tuple(std[row] for row in rows)
               for std in (standardize_word(G.words[s]) for s in sources)]

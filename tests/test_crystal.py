@@ -320,6 +320,26 @@ class TestIntegerKeyedBfs:
                         assert list(H.edges) == sorted(H.edges), (shape, n)
                         assert all(u < v for u, v, _ in H.edges), (shape, n)
 
+    def test_the_seeded_crossing_masks_equal_the_recomputed_ones(self):
+        # bit i of a mask: some i+1 comes before some i in the word
+        def by_slicing(w):
+            return sum(1 << i for i in set(w) if i + 1 in w and i in w[w.index(i + 1):])
+
+        for m in range(1, 7):
+            for shape in partitions_of(m):
+                for n in range(1, 7):
+                    G = generate_crystal(shape, n)
+                    graphs = [G]
+                    if G.words:
+                        graphs += [word_crystal_component(G.words[-1][::-1], n),
+                                   word_crystal_component(G.words[len(G.words) // 2][::-1], n)]
+                    for H in graphs:
+                        # the BFS seeds them; an empty crystal has no BFS
+                        assert ("_crossings" in vars(H)) == bool(H.words), (shape, n)
+                        recomputed = replace(H, edges=H.edges)._crossings
+                        assert H._crossings == recomputed, (shape, n)
+                        assert list(recomputed) == list(map(by_slicing, H.words)), (shape, n)
+
     @pytest.mark.parametrize("shape, n", [((1,), 300), ((300,), 2)])
     def test_large_alphabet_or_long_word_matches_the_operator_bfs(self, shape, n):
         G = generate_crystal(shape, n)

@@ -78,6 +78,30 @@ class TestDecompose:
         with pytest.raises(InvalidParameters, match="not a word crystal"):
             decompose(word_crystal_component(w, 3))
 
+    @pytest.mark.parametrize("G", [None, "x", 1.5, ()], ids=repr)
+    def test_a_non_graph_is_refused(self, G):
+        with pytest.raises(InvalidParameters, match="needs a tableau crystal"):
+            decompose(G)
+
+    def test_unseeded_masks_give_the_same_classes(self):
+        for m in range(1, 7):
+            for shape in partitions_of(m):
+                for n in range(1, 7):
+                    G = generate_crystal(shape, n)
+                    H = replace(G, edges=G.edges)
+                    assert "_crossings" not in vars(H)
+                    assert decompose(H) == decompose(G), (shape, n)  # dataclass fields
+
+    def test_only_the_class_sources_are_cut_into_rows(self):
+        for m in range(1, 7):
+            for shape in partitions_of(m):
+                for n in range(1, 7):
+                    G = generate_crystal(shape, n)
+                    subs = decompose(G)
+                    assert "vertices" not in vars(G), (shape, n)
+                    assert [s.source for s in subs] == \
+                        [G.vertices[s.source_index] for s in subs], (shape, n)
+
 
 class TestDescentClassesForwardPass:
     def test_two_merged_classes_name_the_lowest(self):
