@@ -3,16 +3,17 @@
 Subcommands: crystal, decompose, skeleton, dual-equivalence, schurify,
 count {ssyt,bm,kostka,plethysm-monomials}, check, evac, rsk.
 
-Exit codes: 0 success, 1 domain error, 2 usage or parse error. Standard
-output is byte-identical across identical invocations; wall times go to
-stderr. crystal and decompose refuse, with exit 1, a crystal of more than
-MAX_VERTICES tableaux before building it, counted by the hook-content
-formula; skeleton refuses a skeleton of more than MAX_VERTICES standard
-tableaux, counted by the hook-length formula or, under --max-entry n, as
-the standard tableaux with at most n-1 descents in the descent census.
-dual-equivalence lists every standard tableau of the shape, so it refuses
-a shape with more than MAX_VERTICES of them. No guard count, and no count
-subcommand, lists a tableau.
+Exit codes: 0 success, 1 domain error or a reader that closed standard
+output early, 2 usage or parse error. Standard output is byte-identical
+across identical invocations; wall times go to stderr. crystal and
+decompose refuse, with exit 1, a crystal of more than MAX_VERTICES
+tableaux before building it, counted by the hook-content formula; skeleton
+refuses a skeleton of more than MAX_VERTICES standard tableaux, counted by
+the hook-length formula or, under --max-entry n, as the standard tableaux
+with at most n-1 descents in the descent census. dual-equivalence lists
+every standard tableau of the shape, so it refuses a shape with more than
+MAX_VERTICES of them. No guard count, and no count subcommand, lists a
+tableau.
 
 Each subcommand imports only the modules it runs: count, rsk and evac
 load no crystal code, and no subcommand but check loads verify.
@@ -20,6 +21,7 @@ load no crystal code, and no subcommand but check loads verify.
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InvalidParameters, QCrystalsError
@@ -110,12 +112,12 @@ def cmd_decompose(args, parser):
     subs = decompose(G)
     if args.format == "json":
         payload = {
-            "shape": list(shape),
+            "shape": shape,
             "max_entry": args.max_entry,
             "classes": [{
-                "type": list(sub.alpha),
+                "type": sub.alpha,
                 "size": sub.size,
-                "source": [list(row) for row in sub.source],
+                "source": sub.source,
                 "vertices": sorted(sub.vertex_indices),
             } for sub in subs],
         }
@@ -209,7 +211,7 @@ def cmd_rsk(args, parser):
     from .rsk import rsk
     w = _parse_word(args.word, parser)
     pair = rsk(w)
-    print(json.dumps({"P": [list(r) for r in pair.P], "Q": [list(r) for r in pair.Q]}))
+    print(json.dumps({"P": pair.P, "Q": pair.Q}))
     return 0
 
 
@@ -358,9 +360,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        code = args.run(args, parser)
+        sys.stdout.flush()
+        return code
     except QCrystalsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed early: point stdout at devnull, so that the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -13,19 +13,20 @@ f_i. descent_classes splits a crystal given on reading words by this rule
 alone, in one forward pass over its sorted edges: every edge of a generated
 crystal runs from a lower to a higher vertex index, so each vertex's
 in-edges are read before its out-edges, and a vertex either opens a class
-as its source or takes the class of an internal in-edge. decompose hands it
-the words and masks a CrystalGraph keeps; only the class sources are cut
-into tableaux, and descent compositions are computed only there. Each class
-has a unique source (the band filling of its standard tableau), a unique
-sink (the source with entries shifted by n-s), and the oriented-graph
-structure of a one-row crystal on a smaller alphabet; those structural
-facts power the counting formulas of tableaux, whose counts this module
-re-binds.
+as its source or takes the class of an internal in-edge; one offered a
+second source (no real crystal has one) sets a flag, and crystal.bfs_forest
+then names the class. decompose hands it the words and masks a CrystalGraph
+keeps; only the class sources are cut into tableaux, and descent
+compositions are computed only there. Each class has a unique source (the
+band filling of its standard tableau), a unique sink (the source with
+entries shifted by n-s), and the oriented-graph structure of a one-row
+crystal on a smaller alphabet; those structural facts power the counting
+formulas of tableaux, whose counts this module re-binds.
 """
 
 from dataclasses import dataclass
 
-from .crystal import CrystalGraph, _crossing_mask, generate_crystal
+from .crystal import CrystalGraph, _crossing_mask, bfs_forest, generate_crystal
 from .errors import InternalError, InvalidParameters
 from .tableaux import (
     Composition, Tableau,
@@ -85,8 +86,9 @@ def descent_classes(words, edges,
     the class no internal edge enters: when the first edge leaving u is
     read, every edge entering u already has been, so u is a source if none
     of them was internal, and an internal edge (u, v, i) gives v the source
-    of u. A vertex offered two sources joins them (a small union, kept
-    toward the lower source), which makes one class with two sources.
+    of u. A vertex offered a second source only sets a flag; a flagged call
+    then runs bfs_forest over the internal edges, taken undirected, and
+    names the first tree with more than one vertex no internal edge enters.
     Returns (classes, class_of, internal, sources): the vertices of each
     class in ascending order, the classes ordered by their lowest vertex,
     which is their source; the index of each vertex's class; the internal
@@ -97,7 +99,7 @@ def descent_classes(words, edges,
     if crossings is None:
         crossings = list(map(_crossing_mask, words))
     source_of = [-1] * len(words)
-    joined: dict[int, int] = {}  # a source offered with a lower one -> that source
+    offered_two = False  # some vertex was offered a second source
     internal = []
     for edge in edges:
         u, v, i = edge
@@ -111,15 +113,18 @@ def descent_classes(words, edges,
         if t < 0:
             source_of[v] = s
         elif t != s:
-            a, b = _joined_root(joined, s), _joined_root(joined, t)
-            if a != b:
-                joined[max(a, b)] = min(a, b)
-    if joined:
-        roots = [_joined_root(joined, s) for s in joined]
-        lowest = min(roots)
-        # a word is the reading word of the one-row tableau (w,)
-        alpha = descent_composition((words[lowest],))
-        raise InternalError(f"descent class {alpha} has {roots.count(lowest) + 1} sources")
+            offered_two = True
+    if offered_two:
+        neighbours: list[list[int]] = [[] for _ in words]
+        for u, v, _ in internal:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        entered = {v for _, v, _ in internal}
+        for tree in bfs_forest(range(len(words)), neighbours)[0]:
+            if (count := len(set(tree) - entered)) > 1:
+                # a word is the reading word of the one-row tableau (w,)
+                alpha = descent_composition((words[tree[0]],))
+                raise InternalError(f"descent class {alpha} has {count} sources")
 
     classes: list[list[int]] = []
     class_of: list[int] = []
@@ -134,13 +139,6 @@ def descent_classes(words, edges,
             class_of.append(k)
             classes[k].append(v)
     return classes, class_of, internal, sources
-
-
-def _joined_root(joined: dict[int, int], s: int) -> int:
-    """The lowest source that s has been joined with."""
-    while s in joined:
-        s = joined[s]
-    return s
 
 
 def decompose(G: CrystalGraph) -> list[Subcomponent]:

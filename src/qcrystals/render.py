@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # annotations only: loading these would cost every render
 
 
 def tableau_to_json(T: Tableau) -> str:
-    return json.dumps([list(row) for row in T])
+    return json.dumps(T)
 
 
 def tableau_from_json(text: str) -> Tableau:
@@ -36,7 +36,7 @@ def tableau_from_json(text: str) -> Tableau:
 def _vertex_label(vertex, kind: str) -> str:
     if kind == "word":
         return "".join(str(v) for v in vertex)
-    return json.dumps([list(row) for row in vertex])
+    return json.dumps(vertex)
 
 
 def composition_color(alpha) -> str:
@@ -50,13 +50,8 @@ def composition_color(alpha) -> str:
 
 
 def crystal_to_json(G: CrystalGraph) -> str:
-    payload = {
-        "vertices": [[list(row) for row in v] if G.kind == "tableau" else list(v)
-                     for v in G.vertices],
-        "edges": [[u, v, i] for u, v, i in G.edges],
-        "source": G.source,
-        "max_entry": G.max_entry,
-    }
+    payload = {"vertices": G.vertices, "edges": G.edges, "source": G.source,
+               "max_entry": G.max_entry}
     return json.dumps(payload)
 
 
@@ -100,10 +95,10 @@ def skeleton_to_dot(skel: SkeletonGraph) -> str:
 
 def skeleton_to_json(skel: SkeletonGraph) -> str:
     payload = {
-        "shape": list(skel.shape),
+        "shape": skel.shape,
         "max_entry": skel.max_entry,
         "stable_bound": skel.stable_bound,
-        "vertices": [[list(row) for row in T] for T in skel.vertices],
+        "vertices": skel.vertices,
         "edges": _indexed_edges(skel.vertices, _skeleton_edges(skel)),
     }
     return json.dumps(payload)
@@ -116,8 +111,8 @@ def dual_equivalence_to_dot(g: DualEquivalenceGraph) -> str:
 
 def dual_equivalence_to_json(g: DualEquivalenceGraph) -> str:
     payload = {
-        "shape": list(g.shape),
-        "vertices": [[list(row) for row in T] for T in g.vertices],
+        "shape": g.shape,
+        "vertices": g.vertices,
         "edges": _indexed_edges(g.vertices, g.edges),
     }
     return json.dumps(payload)

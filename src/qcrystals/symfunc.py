@@ -30,12 +30,12 @@ trusted expansions too. One match against the whole-text grammar accepts
 or rejects it; an accepted text is respelled as a JSON list and its
 numbers are read by one json.loads; the summed supports are tested for
 validity and for a single degree in bulk. Only when a test fails does a
-walk over the chunks or the supports run, to raise the constructors'
-error types and messages in their order. The constructors stay the slower
-oracle the tests compare the parsers with. The formatters spell all the
-supports of an expansion with one json.dumps; a coefficient past int's
-digit limit for text raises InvalidParameters there, as in the parsers,
-while __repr__ keeps int's own ValueError.
+walk over the chunks run, or the constructor on the summed terms, to raise
+the constructors' error types and messages in their order. The
+constructors stay the slower oracle the tests compare the parsers with.
+The formatters spell all the supports of an expansion with one json.dumps;
+a coefficient past int's digit limit for text raises InvalidParameters
+there, as in the parsers, while __repr__ keeps int's own ValueError.
 """
 
 import json
@@ -310,8 +310,8 @@ def _parse_terms(text: str, cls):
     distinct support in first-seen order, its validity before its degree.
     A text the grammar accepts is respelled as one flat JSON list, each
     coefficient before its parts (2*F[3,1]+F[4] reads [2,[3,1],1,[4]]), and
-    its supports and degree are checked in bulk; the per-support walk runs
-    only to name the error a bulk check found.
+    its supports and degree are checked in bulk; a failed bulk check calls
+    cls(terms), which names the error.
     """
     if not isinstance(text, str):
         raise InvalidParameters(f"expected expansion text, got {type(text).__name__}")
@@ -338,7 +338,8 @@ def _parse_terms(text: str, cls):
     live = {k: v for k, v in terms.items() if v} if 0 in terms.values() else terms
     degrees = set(map(sum, live))
     if len(degrees) > 1 or not cls._are_supports(terms):
-        _raise_in_order(terms, cls)
+        cls(terms)  # raises the constructor's error, in its order
+        raise InternalError("a bulk check of the parsed supports failed, but no support does")
     return cls._trusted(live, degrees.pop() if degrees else None)
 
 
@@ -352,20 +353,6 @@ def _first_bad_chunk(compact: str, basis: str) -> InvalidParameters:
             return InvalidParameters(
                 f"expected basis {basis!r}, found {found[1]!r} in {chunk!r}")
     return InternalError(f"the text grammar rejects {compact!r}, but not one of its terms")
-
-
-def _raise_in_order(terms: dict, cls) -> None:
-    """Raise what cls(terms) raises: each support in order, validity first."""
-    degree = None
-    for support, coeff in terms.items():
-        cls._check_support(support)
-        if coeff:
-            if degree is None:
-                degree = sum(support)
-            elif sum(support) != degree:
-                raise DegreeMismatch(
-                    f"mixed degrees {degree} and {sum(support)} in one expansion")
-    raise InternalError("a bulk check of the parsed supports failed, but no support does")
 
 
 def parse_f_expansion(text: str) -> FExpansion:

@@ -18,7 +18,7 @@ lives here and lists no tableau; see _corner_counts for the one walk.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement
 from math import comb, factorial, prod
 from operator import ge, index, le, lt
 
@@ -153,12 +153,7 @@ def descent_set_to_composition(descents, m: int) -> Composition:
 
 
 def composition_to_descent_set(alpha: Composition) -> tuple[int, ...]:
-    acc = 0
-    out = []
-    for part in alpha[:-1]:
-        acc += part
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(alpha[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +292,11 @@ def descent_composition(T: Tableau) -> Composition:
     The band boundaries of T are the descents of its standardization, read
     off the reading word without building the standard tableau: a stable
     sort of the positions by letter lists them by standard label, and k is
-    a descent when label k+1 comes before label k in the word.
+    a descent when label k+1 comes before label k in the word: a descent of
+    the sorted positions read as a word. EmptyInput for a tableau of no cells.
     """
     w = reading_word(T)
-    order = sorted(range(len(w)), key=w.__getitem__)
-    comp = []
-    run = 1
-    for k in range(1, len(order)):
-        if order[k] < order[k - 1]:
-            comp.append(run)
-            run = 1
-        else:
-            run += 1
-    comp.append(run)
-    return tuple(comp)
+    return word_descent_composition(sorted(range(len(w)), key=w.__getitem__))
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,16 @@ class TestRender:
             "max_entry": G.max_entry,
         }
 
+    @pytest.mark.parametrize("w, n", [((2, 1, 3), 3), ((1, 1, 2, 3, 1), 4), ((4, 4), 5)])
+    def test_word_crystal_json_is_the_list_copied_payload(self, w, n):
+        G = word_crystal_component(w, n)
+        assert crystal_to_json(G) == json.dumps({
+            "vertices": [list(v) for v in G.vertices],
+            "edges": [[u, v, i] for u, v, i in G.edges],
+            "source": G.source,
+            "max_entry": G.max_entry,
+        })
+
     def test_crystal_dot_parses(self):
         G = generate_crystal((2, 1), 3)
         nodes, edges = parse_dot(crystal_to_dot(G))
@@ -323,6 +333,19 @@ def test_each_subcommand_loads_only_what_it_runs(argv, stdin):
     if command == "schurify":
         assert not loaded & {"qcrystals.crystal", "qcrystals.decomposition"}
     assert ("concurrent.futures.process" in loaded) == ("--parallel" in argv)
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    argv = ["crystal", "--shape", "4,2,1", "--max-entry", "7", "--format", "json"]
+    with subprocess.Popen([sys.executable, "-m", "qcrystals.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env()) as proc:
+        # the output is far longer than a pipe buffer, so the writer is
+        # still writing when the reader closes
+        assert proc.stdout.read(20) == b'{"vertices": [[[1, 1'
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
 def _bounded_child():

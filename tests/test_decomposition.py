@@ -102,6 +102,19 @@ class TestDecompose:
                     assert [s.source for s in subs] == \
                         [G.vertices[s.source_index] for s in subs], (shape, n)
 
+    def test_a_real_crystal_never_walks_its_classes(self, monkeypatch):
+        # the traversal only words the error for a class with two sources
+        def refuse(roots, adjacency):
+            raise AssertionError("bfs_forest called on a real crystal")
+
+        monkeypatch.setattr(decomposition, "bfs_forest", refuse)
+        for m in range(1, 7):
+            for shape in partitions_of(m):
+                for n in range(1, 7):
+                    subs = decompose(generate_crystal(shape, n))
+                    assert sum(sub.size for sub in subs) == \
+                        count_ssyt_formula(shape, n), (shape, n)
+
 
 class TestDescentClassesForwardPass:
     def test_two_merged_classes_name_the_lowest(self):

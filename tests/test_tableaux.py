@@ -232,6 +232,10 @@ class TestDescentComposition:
         with pytest.raises(EmptyInput):
             descent_composition(())
 
+    def test_rows_of_no_cells_rejected(self):
+        with pytest.raises(EmptyInput):
+            descent_composition(((),))
+
 
 class TestStandardizeTableau:
     def test_band_example(self):
