@@ -13,7 +13,7 @@ the hook-length formula or, under --max-entry n, as the standard tableaux
 with at most n-1 descents in the descent census. dual-equivalence lists
 every standard tableau of the shape, so it refuses a shape with more than
 MAX_VERTICES of them. No guard count, and no count subcommand, lists a
-tableau.
+tableau; count exits 1 for an answer longer than int's digit limit for text.
 
 Each subcommand imports only the modules it runs: count, rsk and evac
 load no crystal code, and no subcommand but check loads verify.
@@ -83,7 +83,7 @@ def _emit_crystal(G, fmt, subs=None):
     elif fmt == "json":
         print(crystal_to_json(G))
     else:
-        print(f"{len(G.vertices)} vertices, {len(G.edges)} edges")
+        print(f"{len(G.words)} vertices, {len(G.edges)} edges")
         if subs is not None:
             for sub in subs:
                 print(f"  class {','.join(map(str, sub.alpha))}: "
@@ -186,17 +186,22 @@ def cmd_schurify(args, parser):
 
 def cmd_count(args, parser):
     if args.what == "ssyt":
-        print(count_ssyt_formula(_parse_shape(args.shape, parser), args.max_entry))
+        count = count_ssyt_formula(_parse_shape(args.shape, parser), args.max_entry)
     elif args.what == "bm":
-        print(count_bm(args.size, args.max_entry))
+        count = count_bm(args.size, args.max_entry)
     elif args.what == "kostka":
         shape = _parse_shape(args.shape, parser)
-        print(kostka(shape, _parse_ints(args.weight, parser, "weight")))
+        count = kostka(shape, _parse_ints(args.weight, parser, "weight"))
     else:  # plethysm-monomials
         from .symfunc import plethysm_monomial_count
         outer = _parse_shape(args.outer, parser)
         inner = _parse_shape(args.inner, parser)
-        print(plethysm_monomial_count(outer, inner, args.max_entry))
+        count = plethysm_monomial_count(outer, inner, args.max_entry)
+    try:
+        text = str(count)
+    except ValueError as exc:  # a count longer than int's digit limit
+        raise InvalidParameters(f"cannot write the count: {exc}") from None
+    print(text)
     return 0
 
 

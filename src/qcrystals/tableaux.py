@@ -215,9 +215,15 @@ def is_semistandard(T) -> bool:
         T = tuple(tuple(map(index, row)) for row in T)
     except TypeError:
         return False
-    # rows weakly increase and columns strictly, so T[0][0] is the least entry
-    return (is_partition(shape_of(T)) and (not T or T[0][0] >= 1)
-            and _is_filling((0,) * len(T), T))
+    return _is_semistandard_rows(T)
+
+
+def _is_semistandard_rows(T: Tableau) -> bool:
+    """is_semistandard of a tuple of rows already of ints."""
+    # _is_filling keeps row lengths weakly decreasing, so a shape of positive
+    # parts needs only a non-empty last row; rows weakly increase and columns
+    # strictly, so T[0][0] is the least entry
+    return _is_filling((0,) * len(T), T) and (not T or (len(T[-1]) > 0 and T[0][0] >= 1))
 
 
 def is_standard(T) -> bool:
@@ -264,7 +270,12 @@ def reading_rows(shape: Partition) -> list[slice]:
 
 
 def from_rows(rows) -> Tableau:
-    return tuple(_check_ints(row, "tableau entries") for row in rows)
+    """rows as a tuple of int tuples; InvalidParameters unless rows is an
+    iterable of rows of integers."""
+    try:
+        return tuple(_check_ints(row, "tableau entries") for row in rows)
+    except TypeError:
+        raise InvalidParameters(f"expected rows of tableau entries, got {rows!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,24 @@ class TestCli:
                                 "--inner", "1", "--max-entry", "2"])
         assert code == 0 and out.strip() == "3"
 
+    @pytest.mark.parametrize("argv", [
+        ["ssyt", "--shape", "3", "--max-entry", "10**L"],
+        ["bm", "--size", "100000", "--max-entry", "5000"],
+        ["kostka", "--shape", "2,1", "--weight", "1,1,1"],
+        ["plethysm-monomials", "--outer", "3", "--inner", "1", "--max-entry", "10**L"],
+    ])
+    def test_count_past_the_digit_limit_exit_1(self, argv, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int's digit limit is switched off")
+        # the counts of shape (3,) over 10**k letters have about 3k digits;
+        # no kostka number that long is counted in seconds, so that one is faked
+        argv = [str(10 ** (limit // 3 + 100)) if a == "10**L" else a for a in argv]
+        monkeypatch.setattr(cli, "kostka", lambda shape, mu: 10 ** limit)
+        code, out, err = run_cli(["count", *argv])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: cannot write the count: ")
+
     def test_rsk(self):
         code, out, _ = run_cli(["rsk", "--word", "321"])
         assert code == 0

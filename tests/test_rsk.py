@@ -102,6 +102,19 @@ class TestRskInverse:
         with pytest.raises(InvalidPair):
             rsk_inverse((T([1, 1]), T([1, 3])))
 
+    @pytest.mark.parametrize("pair, named", [
+        (None, "a pair"),
+        (5, "a pair"),
+        ((T([1]),), "a pair"),
+        ((T([1]), T([1]), T([1])), "a pair"),
+        ((T([1]), 7), "rows"),
+        ((7, T([1])), "rows"),
+        ((((1, "a"),), 7), "integers for tableau entries"),  # P is checked before Q
+    ])
+    def test_not_a_pair_of_rows_rejected(self, pair, named):
+        with pytest.raises(InvalidParameters, match=named):
+            rsk_inverse(pair)
+
 
 class TestJdt:
     def test_five_slide_example(self):

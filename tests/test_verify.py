@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -43,6 +44,40 @@ class TestKostkaSuite:
         assert ("kostka mismatch", (2, 1), (1, 1, 1)) in failures
         assert ("kostka vs refinement sum", (2, 1), (1, 1, 1)) in failures
         assert {f[1] for f in failures} == {(2, 1)}
+
+
+class TestRskSuite:
+    """rsk_suite reads its primitives through per-run lookup tables; a fault
+    planted in one of them is still reported for every word that meets it,
+    in the order of the suite without tables (the lists below)."""
+
+    def test_a_wrong_evacuation_is_reported_for_every_word(self, monkeypatch):
+        right = verify.evacuate
+        monkeypatch.setattr(verify, "evacuate", lambda T, n=None: (
+            ((9,),) if T == ((1, 1, 1), (2,), (3,)) else right(T, n)))
+        failures = dict(verify.rsk_suite().details)["failures"]
+        assert failures == tuple(("rotated insertion pair", w) for w in (
+            (1, 1, 3, 2, 1), (1, 3, 1, 2, 1), (1, 3, 2, 1, 1), (3, 1, 1, 2, 1),
+            (3, 1, 2, 1, 1), (3, 2, 1, 1, 1), (1, 1, 3, 2, 1)))
+
+    def test_a_wrong_operator_image_is_reported_for_every_word(self, monkeypatch):
+        right = verify.f_tableau
+        monkeypatch.setattr(verify, "f_tableau", lambda T, i: (
+            None if (T, i) == (((1, 1, 2), (2, 3)), 2) else right(T, i)))
+        failures = dict(verify.rsk_suite().details)["failures"]
+        assert failures == tuple(("insertion commutes with operators", w, 2) for w in (
+            (1, 2, 1, 3, 2), (1, 2, 3, 1, 2), (2, 1, 1, 3, 2), (2, 1, 3, 1, 2),
+            (2, 3, 1, 1, 2), (2, 1, 3, 1, 2)))
+
+    def test_each_evacuation_is_computed_once(self, monkeypatch):
+        right, calls = verify.evacuate, Counter()
+
+        def counted(T, n=None):
+            calls[T, n] += 1
+            return right(T, n)
+        monkeypatch.setattr(verify, "evacuate", counted)
+        assert verify.rsk_suite().passed
+        assert len(calls) == 601 and set(calls.values()) == {1}
 
 
 class TestEvacuationSuite:
