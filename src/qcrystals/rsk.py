@@ -9,14 +9,13 @@ the raising and lowering operators with complemented labels.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import EmptyInput, EntryOutOfRange, InvalidPair, InvalidParameters
 from .tableaux import (
     Tableau, Word,
-    _check_ints, _is_filling, _is_semistandard_rows, from_rows, is_semistandard,
-    reading_word, shape_of, tableau_size,
+    _check_ints, _is_filling, _is_semistandard_rows, _is_standard_rows, from_rows,
+    is_semistandard, reading_word, shape_of, tableau_size,
 )
 
 
@@ -60,15 +59,12 @@ def rsk_inverse(pair: RskPair) -> Word:
     except (TypeError, ValueError):
         raise InvalidParameters(f"expected a pair (P, Q) of tableaux, got {pair!r}") from None
     P, Q = from_rows(P), from_rows(Q)
-    m = tableau_size(Q)
-    if (shape_of(P) != shape_of(Q) or not _is_semistandard_rows(P)
-            or not _is_semistandard_rows(Q)
-            or sorted(chain.from_iterable(Q)) != list(range(1, m + 1))):
+    if shape_of(P) != shape_of(Q) or not _is_semistandard_rows(P) or not _is_standard_rows(Q):
         raise InvalidPair("need same-shape (semistandard, standard) tableaux")
     p_rows = [list(row) for row in P]
     cell_of = {Q[i][j]: (i, j) for i in range(len(Q)) for j in range(len(Q[i]))}
     letters = []
-    for step in range(m, 0, -1):
+    for step in range(tableau_size(Q), 0, -1):
         r, c = cell_of[step]
         x = p_rows[r].pop(c)
         for row in reversed(p_rows[:r]):

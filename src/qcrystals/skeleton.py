@@ -3,8 +3,8 @@
 Collapsing every descent class of a crystal to its standard tableau and
 keeping, per ordered pair of classes, only the crystal edge of minimal label
 yields the skeleton: a labelled oriented graph on standard tableaux that is
-stable once the alphabet is large enough. Two facts let build_skeleton take
-it without building the crystal:
+stable from the alphabet tableaux.max_descent_composition_length on. Two
+facts let build_skeleton take it without building the crystal:
 
 - Restriction: the skeleton at alphabet n is the stable skeleton induced on
   the standard tableaux whose descent composition has at most n parts,
@@ -42,14 +42,14 @@ from dataclasses import dataclass
 
 from .crystal import bfs_forest, generate_crystal, lowering_positions, raising_positions
 from .decomposition import decompose, subcomponent_sink
-from .errors import EmptyInput, InvalidParameters
+from .errors import InvalidParameters
 from .rsk import rsk_of_rot
 from .tableaux import (
     Composition, Partition, Tableau,
     _check_ints, band_filling, check_composition, check_partition, compositions_of,
     descent_composition, descent_composition_counts, enumerate_syt,
-    enumerate_syt_by_parts, is_standard, partitions_of, reading_word,
-    standardize_word, tableau_size,
+    enumerate_syt_by_parts, is_standard, max_descent_composition_length, partitions_of,
+    reading_word, standardize_word, tableau_size,
 )
 
 
@@ -75,21 +75,6 @@ class SkeletonGraph:
     def unordered_pairs(self) -> dict[frozenset, int]:
         """Ordered-edge count per unordered vertex pair (0, 1 or 2)."""
         return Counter(frozenset(pair) for pair in self.edges)
-
-
-def max_descent_composition_length(shape: Partition) -> int:
-    """The stability bound: the longest descent composition on the shape.
-
-    That is |shape| - shape[0] + 1, with no tableau listed. Transposing a
-    standard tableau turns its descents into the non-descents, and a
-    standard tableau of the transposed shape needs a descent to enter each
-    of its shape[0] rows after the first, at least shape[0] - 1 in all; the
-    row-by-row filling has exactly that many. EmptyInput for the empty shape.
-    """
-    shape = check_partition(shape)
-    if not shape:
-        raise EmptyInput("empty tableau")
-    return sum(shape) - shape[0] + 1
 
 
 def build_skeleton(shape: Partition, max_entry: int) -> SkeletonGraph:
@@ -443,14 +428,13 @@ def check_descent_composition_conditions(shape: Partition, alpha: Composition,
         raise InvalidParameters(f"alphabet n must be an integer >= 1, got {n!r}")
     multiplicity = dict(descent_composition_counts(shape)).get(alpha, 0)
     ell, s = len(shape), len(alpha)
-    m = sum(shape)
     padded = list(shape) + [0] * max(0, s - ell)
     conditions = (
         all(1 <= p <= shape[0] for p in alpha),
         all(sum(alpha[:j]) <= sum(padded[:j]) for j in range(1, s + 1)),
-        s <= (m - shape[0]) + 1,
+        s <= max_descent_composition_length(shape),
         ell <= s and (n is None or s <= n),
-        s <= m,
+        s <= sum(shape),
     )
     return Report(
         name=f"descent composition conditions for {alpha} on {shape}",
@@ -466,36 +450,35 @@ def check_evac_duality(shape: Partition, n: int) -> Report:
     and the source maps to the partner's sink. Each vertex is evacuated as
     rsk_of_rot(w, n).P from its stored reading word w, as evacuate does.
     """
-    shape = check_partition(shape)
-    G = generate_crystal(shape, n)
-    failures = []
-    pairs = []
-    if G.source is not None:
-        subs = decompose(G)
-        class_of: dict[int, int] = {}
-        for k, sub in enumerate(subs):
-            for v in sub.vertex_indices:
-                class_of[v] = k
-        evac_index = [G.index_of(rsk_of_rot(w, n).P) for w in G.words]
-        for k, sub in enumerate(subs):
-            image_classes = {class_of[evac_index[v]] for v in sub.vertex_indices}
-            if len(image_classes) != 1:
-                failures.append(("image not a single class", sub.alpha))
-                continue
-            partner = subs[next(iter(image_classes))]
-            pairs.append((k, next(iter(image_classes))))
-            if partner.alpha != tuple(reversed(sub.alpha)):
-                failures.append(("partner type not reversed", sub.alpha, partner.alpha))
-            if len(partner.vertex_indices) != len(sub.vertex_indices):
-                failures.append(("partner size differs", sub.alpha))
-            edge_set = {(u, v, i) for u, v, i in partner.edges}
-            for u, v, i in sub.edges:
-                if (evac_index[v], evac_index[u], n - i) not in edge_set:
-                    failures.append(("edge not dual", sub.alpha, (u, v, i)))
-            sink = subcomponent_sink(partner, n)
-            if G.vertices[evac_index[sub.source_index]] != sink:
-                failures.append(("source does not map to partner sink", sub.alpha))
+    return _evac_duality(generate_crystal(shape, n))
+
+
+def _evac_duality(G) -> Report:
+    """check_evac_duality on the tableau crystal G, already built."""
+    n = G.max_entry
+    failures, pairs = [], []
+    subs = decompose(G)  # no class when G is empty
+    class_of = {v: k for k, sub in enumerate(subs) for v in sub.vertex_indices}
+    evac_index = [G.index_of(rsk_of_rot(w, n).P) for w in G.words]
+    for k, sub in enumerate(subs):
+        image_classes = {class_of[evac_index[v]] for v in sub.vertex_indices}
+        if len(image_classes) != 1:
+            failures.append(("image not a single class", sub.alpha))
+            continue
+        (image,) = image_classes
+        partner = subs[image]
+        pairs.append((k, image))
+        if partner.alpha != tuple(reversed(sub.alpha)):
+            failures.append(("partner type not reversed", sub.alpha, partner.alpha))
+        if len(partner.vertex_indices) != len(sub.vertex_indices):
+            failures.append(("partner size differs", sub.alpha))
+        edge_set = set(partner.edges)
+        for u, v, i in sub.edges:
+            if (evac_index[v], evac_index[u], n - i) not in edge_set:
+                failures.append(("edge not dual", sub.alpha, (u, v, i)))
+        if G.vertices[evac_index[sub.source_index]] != subcomponent_sink(partner, n):
+            failures.append(("source does not map to partner sink", sub.alpha))
     return Report(
-        name=f"evacuation duality for {shape} with alphabet {n}",
+        name=f"evacuation duality for {G.shape} with alphabet {n}",
         passed=not failures,
         details=(("class_pairs", tuple(pairs)), ("failures", tuple(failures))))

@@ -13,14 +13,15 @@ The predicates is_partition, is_semistandard and is_standard answer False,
 never raise, for an object that is not a sequence of integers (of rows).
 
 Cell coordinates are (row, column), 0-indexed internally. All the counting
-lives here and lists no tableau; see _corner_counts for the one walk.
+lives here and lists no tableau: _corner_counts is the one walk, and
+max_descent_composition_length bounds the descent census and the skeleton.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, combinations_with_replacement
 from math import comb, factorial, prod
-from operator import ge, index, le, lt
+from operator import ge, index, le, lt, mul
 
 from .errors import EmptyInput, EntryOutOfRange, InvalidParameters
 
@@ -226,9 +227,18 @@ def _is_semistandard_rows(T: Tableau) -> bool:
     return _is_filling((0,) * len(T), T) and (not T or (len(T[-1]) > 0 and T[0][0] >= 1))
 
 
-def is_standard(T) -> bool:
-    return is_semistandard(T) and sorted(chain.from_iterable(T)) == list(
+def _is_standard_rows(T: Tableau) -> bool:
+    """is_standard of a tuple of rows already of ints."""
+    return _is_semistandard_rows(T) and sorted(chain.from_iterable(T)) == list(
         range(1, tableau_size(T) + 1))
+
+
+def is_standard(T) -> bool:
+    try:
+        T = tuple(tuple(map(index, row)) for row in T)
+    except TypeError:
+        return False
+    return _is_standard_rows(T)
 
 
 def weight_of(T: Tableau, n: int | None = None) -> tuple[int, ...]:
@@ -538,28 +548,42 @@ def count_bm(m: int, k: int) -> int:
     return comb(m + k - 1, k - 1)
 
 
+def max_descent_composition_length(shape: Partition) -> int:
+    """|shape| - shape[0] + 1, the most parts of a descent composition on the
+    shape: the skeleton is stable from this alphabet on. The first entry k
+    of a row below the top one makes k - 1 a descent, and a later entry k of
+    the top row makes k - 1 none; filling by rows, or by columns, meets both
+    bounds, so the descent counts run from len(shape) - 1 to |shape| -
+    shape[0]. EmptyInput for the empty shape."""
+    shape = check_partition(shape)
+    if not shape:
+        raise EmptyInput("empty tableau")
+    return sum(shape) - shape[0] + 1
+
+
 @cache
 def _descent_count_census(shape: Partition) -> tuple[tuple[int, int], ...]:
-    m = sum(shape)
-    census = []
-    for d in range(m):
-        # count(shape, d+1) = sum over j <= d of c_j C(m+d-j, m), and c_d's
-        # coefficient is C(m, m) = 1
-        c = hook_content_count(shape, d + 1) - sum(
-            count * comb(m + d - j, m) for j, count in census)
-        if c:
-            census.append((d, c))
-    return tuple(census)
+    ell = len(shape)
+    h = [hook_content_count(shape, ell)]  # h[k]: the count at alphabet ell + k
+    for n in range(ell, max_descent_composition_length(shape)):
+        h.append(h[-1] * prod(n + part - r for r, part in enumerate(shape))
+                 // prod(range(n - ell + 1, n + 1)))
+    signed = [(-1) ** j * comb(sum(shape) + 1, j) for j in range(len(h))]
+    census = (sum(map(mul, signed, reversed(h[:k + 1]))) for k in range(len(h)))
+    return tuple((d, c) for d, c in enumerate(census, ell - 1) if c)
 
 
 def descent_count_census(shape: Partition) -> dict[int, int]:
     """How many standard tableaux of the shape have each number of descents.
 
-    No tableau is listed: count_ssyt_formula's sum at n = 1..|shape| is a
-    unit lower-triangular system in the counts c_d, with the hook-content
-    counts on its left side. Only the d with c_d > 0 are keys.
+    With H(n) the hook-content count at alphabet n, sum_n H(n) t^n =
+    sum_d c_d t^(d+1) / (1-t)^(|shape|+1) (Stanley, EC2 7.19) gives c_d =
+    sum_j (-1)^j C(|shape|+1, j) H(d+1-j) for d in the range of
+    max_descent_composition_length; H(n+1) = H(n) prod_r (n + shape[r] - r)
+    / (n - r). No tableau is listed; only the d with c_d > 0 are keys.
     """
-    return dict(_descent_count_census(check_partition(shape)))
+    shape = check_partition(shape)
+    return dict(_descent_count_census(shape)) if shape else {}
 
 
 def count_ssyt_formula(shape: Partition, n: int) -> int:

@@ -37,9 +37,8 @@ from .rsk import (
     rsk_of_rot, skew_from_rows, skew_reading_word,
 )
 from .skeleton import (
-    Report, build_skeleton, check_dual_equivalence_conjecture, check_evac_duality,
-    check_reordering_conjecture, check_skeleton_strata,
-    max_descent_composition_length,
+    Report, _evac_duality, build_skeleton, check_dual_equivalence_conjecture,
+    check_reordering_conjecture, check_skeleton_strata, max_descent_composition_length,
 )
 from .symfunc import (
     FExpansion, SchurExpansion, f_to_monomials, schur_expansion_to_f,
@@ -407,11 +406,9 @@ def evacuation_suite(max_size: int = 5, alphabet: int = 4) -> Report:
                     lowered = f_tableau(T, i)
                     if lowered is not None and evac(lowered, n) != e_tableau(image, n - i):
                         failures.append(("anti-automorphism", T, i, n))
-            if G.source is not None:
-                sink = G.sinks()[0]
-                if evac(G.vertices[G.source], n) != G.vertices[sink]:
-                    failures.append(("source to sink", shape, n))
-            duality = check_evac_duality(shape, n)
+            if G.source is not None and evac(G.vertices[G.source], n) != G.vertices[G.sinks()[0]]:
+                failures.append(("source to sink", shape, n))
+            duality = _evac_duality(G)
             if not duality.passed:
                 failures.append(("class duality", shape, n, duality.details))
     return _report(f"evacuation up to size {max_size}, alphabet {alphabet}", failures)

@@ -88,6 +88,36 @@ class TestEvacuationSuite:
         failures = dict(verify.evacuation_suite(max_size=3, alphabet=2).details)["failures"]
         assert ("insertion vs jeu de taquin", ((1, 1), (2,)), 2) in failures
 
+    def test_class_duality_keeps_its_own_evacuation(self, monkeypatch):
+        # the duality check evacuates by rsk_of_rot, not through the patched
+        # evacuate, so only the suite's own identities fail
+        right = verify.evacuate
+        monkeypatch.setattr(verify, "evacuate",
+                            lambda T, n: T if T == ((1, 1), (2,)) else right(T, n))
+        failures = dict(verify.evacuation_suite(max_size=3, alphabet=2).details)["failures"]
+        assert failures == (
+            ("insertion vs jeu de taquin", ((1, 1), (2,)), 2),
+            ("descent reversal", ((1, 1), (2,)), 2),
+            ("anti-automorphism", ((1, 1), (2,)), 1, 2),
+            ("not an involution", ((1, 2), (2,)), 2),
+            ("source to sink", (2, 1), 2))
+
+    def test_each_crystal_is_built_once(self, monkeypatch):
+        right, calls = verify.generate_crystal, Counter()
+
+        def counted(shape, n):
+            calls[shape, n] += 1
+            return right(shape, n)
+
+        def refuse(shape, n):
+            raise AssertionError("the duality check built its own crystal")
+        monkeypatch.setattr(verify, "generate_crystal", counted)
+        monkeypatch.setattr(skeleton, "generate_crystal", refuse)
+        assert verify.evacuation_suite(max_size=4).passed
+        pairs = {(shape, n) for m in range(1, 5) for shape in verify.partitions_of(m)
+                 for n in range(len(shape), 5)}
+        assert set(calls) == pairs and set(calls.values()) == {1}
+
 
 class TestDualEquivalenceSuite:
     def test_word_graph_is_compared_with_the_involutions(self, monkeypatch):
