@@ -15,6 +15,10 @@ every standard tableau of the shape, so it refuses a shape with more than
 MAX_VERTICES of them. No guard count, and no count subcommand, lists a
 tableau; count exits 1 for an answer longer than int's digit limit for text.
 
+check runs its suites in forked workers, one per usable CPU and at most
+one per suite, this process among them; with one usable CPU, or no
+os.fork, it runs them in process. Its output is the same either way.
+
 Each subcommand imports only the modules it runs: count, rsk and evac
 load no crystal code, and no subcommand but check loads verify.
 """
@@ -24,7 +28,7 @@ import json
 import os
 import sys
 
-from .errors import InvalidParameters, QCrystalsError
+from .errors import InternalError, InvalidParameters, QCrystalsError
 from .tableaux import (
     check_partition, count_bm, count_ssyt_formula, descent_count_census,
     hook_content_count, hook_length_count, kostka,
@@ -220,37 +224,114 @@ def cmd_rsk(args, parser):
     return 0
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _claimed(jobs, claims):
+    """(index, result or exception) of each job this process claims: it reads
+    the next job index, one byte, from the claims pipe until that is empty."""
+    while claim := os.read(claims, 1):
+        run, name, size = jobs[claim[0]]
+        try:
+            yield claim[0], run(name, size)
+        except Exception as exc:
+            yield claim[0], exc
+
+
+def _forked_outcomes(jobs, workers):
+    """{index: result or exception} of the jobs run by this process and
+    workers - 1 forked children; a child's results come over its own pipe."""
+    import pickle
+    import signal
+    claims, claims_in = os.pipe()
+    os.write(claims_in, bytes(range(len(jobs))))
+    os.close(claims_in)
+    sys.stdout.flush()  # so that no child holds a copy of pending output
+    sys.stderr.flush()
+    children = {}  # pid: read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            results, results_in = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(results)
+                    with open(results_in, "wb") as out:
+                        for record in _claimed(jobs, claims):
+                            pickle.dump(record, out)
+                            out.flush()
+                finally:  # the child's only way out, whatever happened
+                    os._exit(0)
+            os.close(results_in)
+            children[pid] = results
+        outcomes = dict(_claimed(jobs, claims))
+        for results in children.values():
+            with open(results, "rb", closefd=False) as stream:
+                while True:
+                    try:
+                        outcomes.update([pickle.load(stream)])
+                    except Exception:  # the end, or a record cut short
+                        break
+        return outcomes
+    finally:
+        os.close(claims)
+        for pid, results in children.items():
+            os.close(results)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_suites(jobs, workers):
+    """Yield each job's result in job order; a job is (run, suite name, size)
+    and its result is run(name, size).
+
+    With one worker, or no os.fork, the jobs run here in turn. Otherwise
+    this process and workers - 1 forked children each claim the next job
+    from a shared pipe, so a long suite holds up no queue; the results are
+    yielded once every job is done. A job that raised raises here, the
+    first in job order first; a job whose worker died, or could not pickle
+    its result, raises InternalError. No child outlives this call.
+    """
+    if workers < 2 or not hasattr(os, "fork"):
+        for run, name, size in jobs:
+            yield run(name, size)
+        return
+    outcomes = _forked_outcomes(jobs, workers)
+    for index, (_, name, _) in enumerate(jobs):
+        if index not in outcomes:
+            raise InternalError(f"the {name} suite got no result: its worker process ended first")
+        if isinstance(outcomes[index], Exception):
+            raise outcomes[index]
+        yield outcomes[index]
+
+
 def cmd_check(args, parser):
     if args.max_size < 1:
         parser.error(f"--max-size must be >= 1, got {args.max_size}")
-    from itertools import repeat
     from . import verify
     which = args.which
     results = {"theorems": [], "conjectures": []}
     theorems = [name for name, _ in verify.THEOREM_SUITES] \
         if which in ("theorems", "all") else []
     conjectures = list(verify.CONJECTURE_SUITES) if which in ("conjectures", "all") else []
-    sizes = repeat(args.max_size)
-
-    if args.parallel:
-        # imported here: multiprocessing costs every other command 1.8 MB
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor() as pool:
-            theorem_out = list(pool.map(verify.run_theorem_suite, theorems, sizes))
-            conjecture_out = list(pool.map(verify.run_conjecture_suite, conjectures, sizes))
-    else:
-        theorem_out = map(verify.run_theorem_suite, theorems, sizes)
-        conjecture_out = map(verify.run_conjecture_suite, conjectures, sizes)
+    jobs = [(verify.run_theorem_suite, name, args.max_size) for name in theorems] \
+        + [(verify.run_conjecture_suite, name, args.max_size) for name in conjectures]
+    # one iterator for both loops: zip stops at the end of the names first
+    outcomes = _run_suites(jobs, min(_usable_cpus(), len(jobs)))
 
     all_ok = True
-    for name, report in zip(theorems, theorem_out):
+    for name, report in zip(theorems, outcomes):
         results["theorems"].append({
             "suite": name, "name": report.name, "passed": report.passed,
             "details": _jsonable(report.details),
         })
         all_ok = all_ok and report.passed
         print(f"theorem {report.summary()}", file=sys.stderr)
-    for name, reports in zip(conjectures, conjecture_out):
+    for name, reports in zip(conjectures, outcomes):
         entries = [{"name": r.name, "passed": r.passed, "details": _jsonable(r.details)}
                    for r in reports]
         consistent = all(r.passed for r in reports)
@@ -345,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("theorems", "conjectures", "all"),
                    default="all")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("evac", help="evacuation of a tableau")

@@ -4,8 +4,10 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from qcrystals import cli
 from qcrystals.cli import main
 from qcrystals.crystal import generate_crystal, word_crystal_component
 from qcrystals.decomposition import decompose
+from qcrystals.errors import InternalError, NotSymmetric
 from qcrystals.render import (
     composition_color, crystal_to_dot, crystal_to_json,
     skeleton_to_dot, tableau_from_json, tableau_to_json,
@@ -63,6 +66,30 @@ def run_cli(argv, stdin_text=None):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def _suite_lines(err):
+    """check's per-suite stderr lines, without their wall times."""
+    return [re.sub(r" \(\d+\.\d+s\)$", "", line) for line in err.splitlines()
+            if line.startswith(("theorem ", "conjecture "))]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids this process forks during the test; each must be reaped by its end."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestRender:
@@ -288,16 +315,119 @@ class TestCli:
         assert len(nodes) == 8
         assert out.count("fillcolor") == 8
 
-    def test_check_parallel_matches_serial(self):
-        argv = ["check", "--max-size", "2", "--json"]
-        serial = run_cli(argv)
-        parallel = run_cli(argv + ["--parallel"])
-        assert serial[0] == parallel[0] == 0
-        assert serial[1] == parallel[1]
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("which", ["all", "theorems", "conjectures"])
+    def test_check_in_workers_matches_in_process(self, monkeypatch, forked, which, json_flag):
+        argv = ["check", "--max-size", "3", "--which", which, *json_flag]
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            runs[workers] = run_cli(argv)
+        assert len(forked) == 1  # one child, besides this process, at two workers
+        (code1, out1, err1), (code2, out2, err2) = runs[1], runs[2]
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert _suite_lines(err1) == _suite_lines(err2)
+        assert len(_suite_lines(err1)) == {"all": 16, "theorems": 13, "conjectures": 3}[which]
+
+    def test_check_has_no_parallel_option(self):
+        code, out, err = run_cli(["check", "--max-size", "2", "--parallel"])
+        assert code == 2 and out == "" and "--parallel" in err
 
     def test_deterministic_output(self):
         argv = ["crystal", "--shape", "3,2", "--max-entry", "3", "--format", "dot"]
         assert run_cli(argv)[1] == run_cli(argv)[1]
+
+
+def _in_child(parent, child_action, parent_delay=0.05):
+    """A suite runner that calls child_action(name) in a forked worker; in
+    parent, it waits parent_delay, so that the worker claims jobs too, then
+    runs the real theorem suite."""
+    from qcrystals.verify import run_theorem_suite
+
+    def run(name, size):
+        if os.getpid() != parent:
+            return child_action(name)
+        time.sleep(parent_delay)
+        return run_theorem_suite(name, size)
+    return run
+
+
+def _raise(exc):
+    raise exc
+
+
+class TestCheckRunner:
+    """cli._run_suites at two workers: failures read as they do in process."""
+
+    def _jobs(self, run):
+        from qcrystals import verify
+        return [(run, name, 2) for name, _ in verify.THEOREM_SUITES]
+
+    def test_a_failing_suite_gives_the_in_process_error(self, monkeypatch, forked):
+        from qcrystals import verify
+        broken = dict(verify.THEOREM_SUITES,
+                      crystal=lambda max_size: _raise(NotSymmetric("the crystal suite broke")),
+                      jdt=lambda: _raise(KeyError("jdt")))
+        monkeypatch.setattr(verify, "THEOREM_SUITES", tuple(broken.items()))
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            runs[workers] = run_cli(["check", "--max-size", "3"])
+        assert len(forked) == 1
+        (code1, out1, err1), (code2, out2, err2) = runs[1], runs[2]
+        assert code1 == code2 == 1 and out1 == out2 == ""
+        assert err1.splitlines()[-1] == err2.splitlines()[-1] == "error: the crystal suite broke"
+        assert _suite_lines(err1) == _suite_lines(err2) == [
+            "theorem parsing/standardization up to size 3: pass",
+            "theorem refinement partial order up to size 3: pass"]
+
+    @pytest.mark.parametrize("exc_type", [NotSymmetric, KeyError])
+    def test_a_suite_raising_in_a_worker_raises_its_type_here(self, forked, exc_type):
+        jobs = self._jobs(_in_child(os.getpid(), lambda name: _raise(exc_type(name))))
+        with pytest.raises(exc_type) as caught:
+            list(cli._run_suites(jobs, 2))
+        assert caught.value.args[0] in [name for _, name, _ in jobs]
+        # every job raising, in either process: the first in job order wins
+        jobs = self._jobs(lambda name, size: _raise(exc_type(name)))
+        with pytest.raises(exc_type) as caught:
+            list(cli._run_suites(jobs, 2))
+        assert caught.value.args[0] == "parsing"
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("death", [
+        lambda name: os._exit(3),
+        lambda name: os.kill(os.getpid(), signal.SIGKILL),
+        lambda name: lambda: name,  # a result that cannot be pickled
+    ], ids=["exit", "sigkill", "unpicklable"])
+    def test_a_worker_that_dies_gives_internal_error(self, monkeypatch, forked, death):
+        from qcrystals import verify
+        monkeypatch.setattr(verify, "run_theorem_suite", _in_child(os.getpid(), death))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        start = time.perf_counter()
+        code, out, err = run_cli(["check", "--max-size", "2", "--which", "theorems"])
+        assert time.perf_counter() - start < 30
+        assert len(forked) == 1
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        (error,) = [line for line in err.splitlines() if not line.startswith("theorem ")]
+        assert re.fullmatch(r"error: the \S+ suite got no result: its worker process ended first",
+                            error)
+        with pytest.raises(InternalError):
+            list(cli._run_suites(self._jobs(_in_child(os.getpid(), death)), 2))
+
+    def test_an_interrupt_here_kills_the_workers(self, forked):
+        def run(name, size):
+            if os.getpid() != parent:
+                time.sleep(60)
+            time.sleep(0.05)
+            raise KeyboardInterrupt
+        parent = os.getpid()
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            list(cli._run_suites(self._jobs(run), 2))
+        assert time.perf_counter() - start < 30
+        assert len(forked) == 1
 
 
 def _src_env():
@@ -325,7 +455,7 @@ LOADED_BY = [
     (["dual-equivalence", "--shape", "2,1"], None),
     (["schurify", "--input", "-"], "F[2]\n"),
     (["check", "--max-size", "2"], None),
-    (["check", "--max-size", "2", "--which", "conjectures", "--parallel"], None),
+    (["check", "--max-size", "2", "--which", "conjectures"], None),
 ]
 
 
@@ -350,7 +480,8 @@ def test_each_subcommand_loads_only_what_it_runs(argv, stdin):
         assert "hashlib" not in loaded
     if command == "schurify":
         assert not loaded & {"qcrystals.crystal", "qcrystals.decomposition"}
-    assert ("concurrent.futures.process" in loaded) == ("--parallel" in argv)
+    # check forks its workers itself: no command loads a process pool
+    assert not loaded & {"concurrent.futures", "multiprocessing"}
 
 
 def test_a_reader_that_closes_early_gets_no_traceback():
