@@ -12,7 +12,9 @@ refuses a skeleton of more than MAX_VERTICES standard tableaux, counted by
 the hook-length formula or, under --max-entry n, as the standard tableaux
 with at most n-1 descents in the descent census. dual-equivalence lists
 every standard tableau of the shape, so it refuses a shape with more than
-MAX_VERTICES of them. No guard count, and no count subcommand, lists a
+MAX_VERTICES of them. Both also refuse a listing of more than MAX_CELLS
+cells, its tableaux times the cells of the shape, as a long shape makes
+each tableau large. No guard count, and no count subcommand, lists a
 tableau; count exits 1 for an answer longer than int's digit limit for text.
 
 check runs its suites in forked workers, one per usable CPU and at most
@@ -36,6 +38,9 @@ from .tableaux import (
 
 # most vertices a command builds
 MAX_VERTICES = 1_000_000
+# most cells in the standard tableaux that skeleton and dual-equivalence
+# list: every shape of at most 16 cells that MAX_VERTICES accepts
+MAX_CELLS = 16_000_000
 
 
 def _parse_ints(text: str, parser: argparse.ArgumentParser, what: str):
@@ -73,6 +78,17 @@ def _check_size(count, what):
     if count > MAX_VERTICES:
         raise InvalidParameters(
             f"{what} has {count} vertices, more than the limit of {MAX_VERTICES}")
+
+
+def _check_listing(count, shape, what):
+    """_check_size of count standard tableaux of the shape, then their cells
+    against MAX_CELLS."""
+    _check_size(count, what)
+    cells = count * sum(shape)
+    if cells > MAX_CELLS:
+        raise InvalidParameters(
+            f"{what} has {count} vertices of {sum(shape)} cells, {cells} cells in all, "
+            f"more than the limit of {MAX_CELLS}")
 
 
 def _check_crystal_size(shape, n):
@@ -137,13 +153,13 @@ def cmd_skeleton(args, parser):
     shape = _parse_shape(args.shape, parser)
     what = f"the skeleton of shape {','.join(map(str, shape))}"
     if args.max_entry is None:
-        _check_size(hook_length_count(shape), what)
+        _check_listing(hook_length_count(shape), shape, what)
         skel = skeleton_stable(shape)
     else:
         # its vertices: the standard tableaux with at most max_entry - 1 descents
-        _check_size(sum(count for d, count in descent_count_census(shape).items()
-                        if d < args.max_entry),
-                    f"{what} with entries <= {args.max_entry}")
+        _check_listing(sum(count for d, count in descent_count_census(shape).items()
+                           if d < args.max_entry),
+                       shape, f"{what} with entries <= {args.max_entry}")
         skel = build_skeleton(shape, args.max_entry)
     if args.format == "dot":
         sys.stdout.write(skeleton_to_dot(skel))
@@ -159,8 +175,8 @@ def cmd_dual_equivalence(args, parser):
     from .render import dual_equivalence_to_dot, dual_equivalence_to_json
     from .skeleton import dual_equivalence_graph
     shape = _parse_shape(args.shape, parser)
-    _check_size(hook_length_count(shape),
-                f"the dual equivalence graph of shape {','.join(map(str, shape))}")
+    _check_listing(hook_length_count(shape), shape,
+                   f"the dual equivalence graph of shape {','.join(map(str, shape))}")
     g = dual_equivalence_graph(shape)
     if args.format == "dot":
         sys.stdout.write(dual_equivalence_to_dot(g))

@@ -24,9 +24,9 @@ when f_i leaves the descent class. The graph keeps the masks as a private
 cached property, seeded by the BFS and otherwise recomputed from the
 words, so descent_classes tests one bit per edge. A CrystalGraph keeps the
 words the BFS found: a tableau crystal carries its shape and cuts its
-words into rows by tableaux.reading_rows, one itemgetter per word, only
-when its vertices are asked for, so callers that work on words (decompose,
-which cuts only its class sources, and the skeleton oracle of
+words into rows by tableaux._cut_tableaux, as the standard-tableau listing
+does, only when its vertices are asked for, so callers that work on words
+(decompose, which cuts only its class sources, and the skeleton oracle of
 verify.skeleton_suite) never build every tableau. paren_reduce and the
 per-i operators f_word, e_word, f_tableau and e_tableau apply the rule one
 letter at a time and check their input (InvalidParameters for a
@@ -41,14 +41,13 @@ classifier call it.
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import InvalidParameters
 from .tableaux import (
     Partition, Tableau, Word,
-    _check_ints, check_partition, highest_weight_tableau, reading_rows, reading_word,
-    shape_of,
+    _check_ints, _cut_tableaux, check_partition, highest_weight_tableau, reading_rows,
+    reading_word, shape_of,
 )
 
 _NO_EDGES = MappingProxyType({})
@@ -201,9 +200,7 @@ class CrystalGraph:
     def vertices(self) -> tuple:
         if self.shape is None:
             return self.words
-        if len(self.shape) == 1:  # a one-item itemgetter returns the bare row
-            return tuple((w,) for w in self.words)
-        return tuple(map(itemgetter(*reading_rows(self.shape)), self.words))
+        return _cut_tableaux(self.shape, self.words)
 
     @cached_property
     def _crossings(self) -> tuple[int, ...]:

@@ -22,11 +22,12 @@ and never reaches a tableau with more parts than a. So the stable skeleton,
 with its least labels, is the set of single f_i and e_i steps out of the
 band fillings. verify.skeleton_suite checks both facts against the crystal
 route, which builds the whole crystal and splits it into classes. The band
-filling itself comes from tableaux.band_filling, which reads it off the
-reading word of Q; tableaux is the one module that maps standard labels to
-band letters.
+fillings come with the vertices: tableaux._standard_fill lists each
+standard tableau as its reading word and its band filling, written in one
+pass, so tableaux stays the one module that maps standard labels to band
+letters.
 
-The dual equivalence graph is built on reading words as well: one
+The dual equivalence graph is built on the same reading words: one
 position array per tableau, and each moved tableau looked up by its word.
 The checkers at the bottom compare the skeleton against that graph, built
 on the stable skeleton's own vertices, probe the structure of its
@@ -46,10 +47,10 @@ from .errors import InvalidParameters
 from .rsk import rsk_of_rot
 from .tableaux import (
     Composition, Partition, Tableau,
-    _check_ints, band_filling, check_composition, check_partition, compositions_of,
-    descent_composition, descent_composition_counts, enumerate_syt,
-    enumerate_syt_by_parts, is_standard, max_descent_composition_length, partitions_of,
-    reading_word, standardize_word, tableau_size,
+    _check_ints, _cut_tableaux, _standard_fill, check_composition, check_partition,
+    compositions_of, descent_composition, descent_composition_counts, is_standard,
+    max_descent_composition_length, partitions_of, reading_word, standardize_word,
+    tableau_size,
 )
 
 
@@ -81,25 +82,26 @@ def build_skeleton(shape: Partition, max_entry: int) -> SkeletonGraph:
     """Skeleton of the crystal on the shape with the given alphabet bound.
 
     Vertices are the standard tableaux whose descent composition fits in the
-    alphabet, listed by tableaux.enumerate_syt_by_parts without the others.
-    Edges follow the local rule of the module docstring: for each vertex Q
-    with s parts, w is its band filling, and for each i < s the steps f_i(w)
-    and e_i(w), standardized, are the reading words of standard tableaux Q2
-    that give the edges (Q, Q2, i) and (Q2, Q, i), keeping the least label
-    per ordered pair. The class of Q at alphabet s is w alone, so no step
-    stays in it and Q2 != Q. Words stand for tableaux throughout: each
-    vertex is looked up by its reading word, and no crystal is built.
+    alphabet, listed by tableaux._standard_fill without the others as
+    (reading word, band filling) pairs and cut into rows once. Edges follow
+    the local rule of the module docstring: for each vertex Q with s parts,
+    w is its band filling, and for each i < s the steps f_i(w) and e_i(w),
+    standardized, are the reading words of standard tableaux Q2 that give
+    the edges (Q, Q2, i) and (Q2, Q, i), keeping the least label per
+    ordered pair. The class of Q at alphabet s is w alone, so no step stays
+    in it and Q2 != Q. Words stand for tableaux throughout: each vertex is
+    looked up by its reading word, and no crystal is built.
     """
     shape = check_partition(shape)
     (max_entry,) = _check_ints((max_entry,), "max_entry")
     if max_entry < 1:
         raise InvalidParameters("max_entry must be >= 1")
-    vertices = tuple(enumerate_syt_by_parts(shape, max_entry))
-    words = [reading_word(Q) for Q in vertices]
+    listed = _standard_fill(shape, max_entry)
+    words = [q for q, _ in listed]
+    vertices = _cut_tableaux(shape, words)
     vertex_of = dict(zip(words, vertices))
     edges: dict[tuple[Tableau, Tableau], int] = {}
-    for Q, q in zip(vertices, words):
-        w = band_filling(q)
+    for Q, (_, w) in zip(vertices, listed):
         s = max(w)  # the number of parts
         down, up = lowering_positions(w, s), raising_positions(w, s)
         for i in range(1, s):
@@ -282,18 +284,17 @@ def dual_equivalence_involution(T: Tableau, i: int) -> Tableau:
     return _involution(T, i)
 
 
-def _dual_equivalence_edges(vertices) -> frozenset:
+def _dual_equivalence_edges(vertices, words) -> frozenset:
     """Edges (T, T', i), T < T', of the involutions d_i on the given vertices.
 
-    The vertices must be all the standard tableaux of one shape. Each
-    reading word is taken once and stands for its tableau: the positions of
-    the labels are read off it once per tableau, d_i applies the rule of
+    The vertices must be all the standard tableaux of one shape, and words
+    their reading words, which stand for them: the positions of the labels
+    are read off each word once, d_i applies the rule of
     dual_equivalence_involution to pos[i-1], pos[i], pos[i+1], and a moved
     tableau is found by its word with the two labels swapped. d_i is an
     involution, so every edge is met from both ends and kept from the
     smaller one.
     """
-    words = [reading_word(T) for T in vertices]
     vertex_of = dict(zip(words, vertices))
     edges = set()
     for T, word in zip(vertices, words):
@@ -317,14 +318,17 @@ def _dual_equivalence_edges(vertices) -> frozenset:
 def dual_equivalence_graph(shape: Partition) -> DualEquivalenceGraph:
     """Graph on standard tableaux under the elementary involutions.
 
-    The vertices are enumerate_syt(shape), sorted by reading word; the edges
-    come from _dual_equivalence_edges, which works on the reading words.
-    verify.dual_equivalence_suite rebuilds them from
-    dual_equivalence_involution as the oracle.
+    The vertices are enumerate_syt(shape), sorted by reading word: the
+    reading words of tableaux._standard_fill, cut into rows. Those words go
+    on to _dual_equivalence_edges, so no reading word is taken twice.
+    verify.dual_equivalence_suite rebuilds the edges from
+    dual_equivalence_involution as the oracle. EmptyInput for the empty
+    shape.
     """
     shape = check_partition(shape)
-    vertices = tuple(enumerate_syt(shape))
-    return DualEquivalenceGraph(shape, vertices, _dual_equivalence_edges(vertices))
+    words = [q for q, _ in _standard_fill(shape, sum(shape))]
+    vertices = _cut_tableaux(shape, words)
+    return DualEquivalenceGraph(shape, vertices, _dual_equivalence_edges(vertices, words))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +363,8 @@ def check_dual_equivalence_conjecture(shape: Partition) -> Report:
     once.
     """
     skel = skeleton_stable(shape)
-    de = DualEquivalenceGraph(skel.shape, skel.vertices,
-                              _dual_equivalence_edges(skel.vertices))
+    de = DualEquivalenceGraph(skel.shape, skel.vertices, _dual_equivalence_edges(
+        skel.vertices, list(map(reading_word, skel.vertices))))
     sk_pairs = skel.unordered_pairs()
     de_pairs = de.unordered_pairs()
     violations = []

@@ -15,13 +15,17 @@ never raise, for an object that is not a sequence of integers (of rows).
 Cell coordinates are (row, column), 0-indexed internally. All the counting
 lives here and lists no tableau: _corner_counts is the one walk, and
 max_descent_composition_length bounds the descent census and the skeleton.
+The standard tableaux are listed by one fill without recursion,
+_standard_fill, as pairs of reading word and band filling:
+enumerate_syt_by_parts cuts the words into rows, syt_descent_compositions
+counts the band letters, and the skeleton reads both.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, combinations_with_replacement
 from math import comb, factorial, prod
-from operator import ge, index, le, lt, mul
+from operator import ge, index, itemgetter, le, lt, mul
 
 from .errors import EmptyInput, EntryOutOfRange, InvalidParameters
 
@@ -399,45 +403,87 @@ def enumerate_syt(shape: Partition) -> list[Tableau]:
 def enumerate_syt_by_parts(shape: Partition, max_parts: int) -> list[Tableau]:
     """Standard tableaux whose descent composition has at most max_parts parts.
 
-    Sorted by reading word, like enumerate_syt. Entries are placed in
-    increasing order, and k-1 is a descent iff k goes to a lower row than
-    k-1; so the fill counts parts as it goes and cuts a branch as soon as it
-    needs one part more than max_parts, without listing the tableaux beyond.
+    Sorted by reading word, like enumerate_syt: the reading words of
+    _standard_fill cut into rows, so no tableau beyond the bound is listed.
+    EmptyInput for the empty shape.
     """
     shape = check_partition(shape)
-    m = sum(shape)
-    rows = [[] for _ in shape]
+    return list(_cut_tableaux(shape, [q for q, _ in _standard_fill(shape, max_parts)]))
+
+
+def _standard_fill(shape: Partition, max_parts: int) -> list[tuple[Word, Word]]:
+    """(reading word, band filling) of each standard tableau of a checked
+    shape whose descent composition has at most max_parts parts, sorted by
+    reading word. EmptyInput for the empty shape.
+
+    One odometer over the labels, no recursion: label k goes to the first
+    row at or after r that has room, and when none has, label k-1 is lifted
+    and tried one row lower. k-1 is a descent iff k sits in a lower row than
+    k-1, so the fill keeps the running part count and cuts a branch as soon
+    as it needs one part more than max_parts (every later row is lower
+    too). Label k is written at its cell's place in the reading word, the
+    row's offset plus the column, and its part count at the same place of
+    the band filling: the reading word of destandardize(Q, descent
+    composition of Q).
+    """
+    if not shape:
+        raise EmptyInput("empty tableau")
+    m, ell = sum(shape), len(shape)
+    offset = [sum(shape[r + 1:]) for r in range(ell)]  # the rows are read bottom first
+    filled = [m + 1] + [0] * ell  # filled[r + 1]: cells of row r; filled[0] bounds row 0
+    word, band = [0] * m, [0] * m
+    row_of, parts_of = [-1] * (m + 1), [0] * (m + 1)  # of label k; label 0 starts
     out = []
-
-    def place(k, last_row, parts):
-        if k > m:
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        for i in range(len(shape)):
-            row = rows[i]
-            if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
-                parts_now = parts + (i > last_row)
-                if parts_now > max_parts:
-                    break  # every later row is lower too
-                row.append(k)
-                place(k + 1, i, parts_now)
-                row.pop()
-
-    place(1, -1, 0)  # entry 1 starts the first part
-    del place  # break the self-reference through the closure cell, see partitions_of
-    out.sort(key=reading_word)
+    k, r = 1, 0  # place label k in row r or a later one
+    while k:
+        last, parts = row_of[k - 1], parts_of[k - 1]
+        while r < ell:
+            n = filled[r + 1]
+            if n < shape[r] and n < filled[r]:
+                p = parts + (r > last)
+                if p > max_parts:
+                    r = ell
+                    break
+                pos = offset[r] + n
+                word[pos], band[pos] = k, p
+                filled[r + 1] = n + 1
+                row_of[k], parts_of[k] = r, p
+                break
+            r += 1
+        if r < ell:  # label k placed
+            if k < m:
+                k, r = k + 1, 0
+                continue
+            out.append((tuple(word), tuple(band)))
+        else:  # no row left for label k: lift label k - 1
+            k -= 1
+            r = row_of[k]
+        filled[r + 1] -= 1
+        r += 1
+    out.sort()
     return out
+
+
+def _cut_tableaux(shape: Partition, words) -> tuple[Tableau, ...]:
+    """The tableaux of a non-empty shape with the given reading words, each
+    cut into rows by one itemgetter of reading_rows(shape)."""
+    if len(shape) == 1:  # a one-item itemgetter returns the bare row
+        return tuple((w,) for w in words)
+    return tuple(map(itemgetter(*reading_rows(shape)), words))
 
 
 @cache
 def _syt_descent_compositions(shape: Partition) -> tuple[Composition, ...]:
-    return tuple(descent_composition(T) for T in enumerate_syt(shape))
+    """Part k of each composition counts the letters k of its band filling."""
+    return tuple(tuple(map(w.count, range(1, max(w) + 1)))
+                 for _, w in _standard_fill(shape, sum(shape)))
 
 
 def syt_descent_compositions(shape: Partition) -> tuple[Composition, ...]:
     """Descent compositions of enumerate_syt(shape), in the same order (cached).
 
-    It lists the tableaux: only sources_of_type and, as a check, verify call it."""
+    It lists the band fillings of the standard tableaux: only sources_of_type
+    and, as a check, verify call it. EmptyInput for the empty shape."""
     return _syt_descent_compositions(check_partition(shape))
 
 
@@ -454,30 +500,36 @@ def _tree_prod(factors: list[int]) -> int:
     return _tree_prod(factors[:half]) * _tree_prod(factors[half:])
 
 
-def hook_length_count(shape: Partition) -> int:
-    """Number of standard tableaux by the hook-length formula (counting oracle)."""
-    shape = check_partition(shape)
+def _hook_product(shape: Partition) -> int:
+    """The product of the hook lengths of a checked shape; EmptyInput for
+    the empty shape."""
     if not shape:
         raise EmptyInput("empty tableau")
     conjugate = [sum(1 for r in shape if r > c) for c in range(shape[0])]
-    hooks = _tree_prod([(r - j) + (conjugate[j] - i) - 1
-                        for i, r in enumerate(shape) for j in range(r)])
-    return factorial(sum(shape)) // hooks
+    return _tree_prod([(r - j) + (conjugate[j] - i) - 1
+                       for i, r in enumerate(shape) for j in range(r)])
+
+
+def hook_length_count(shape: Partition) -> int:
+    """Number of standard tableaux by the hook-length formula (counting oracle)."""
+    shape = check_partition(shape)
+    return factorial(sum(shape)) // _hook_product(shape)
 
 
 def hook_content_count(shape: Partition, n: int) -> int:
     """Number of tableaux of the shape with entries <= n (hook-content formula).
 
-    The product over cells (r, c) of (n + c - r) / hook(r, c), that is the
-    hook-length count times the product of the n + c - r over |shape|!;
-    O(cells) integer steps, no tableau listed, 0 when n < len(shape).
+    The product over cells (r, c) of (n + c - r) / hook(r, c): the product
+    of the contents over the product of the hooks, each taken by _tree_prod;
+    O(cells) integer steps, no factorial, no tableau listed, 0 when n <
+    len(shape). EmptyInput for the empty shape at n >= 0.
     """
     shape = check_partition(shape)
     (n,) = _check_ints((n,), "the alphabet n")
     if n < len(shape):
         return 0
-    contents = _tree_prod([n + c - r for r, length in enumerate(shape) for c in range(length)])
-    return hook_length_count(shape) * contents // factorial(sum(shape))
+    hooks = _hook_product(shape)
+    return _tree_prod([n + c - r for r, length in enumerate(shape) for c in range(length)]) // hooks
 
 
 def _corner_counts(shape: Partition, allowed: int, tracked: int) -> dict[int, int]:
@@ -650,21 +702,6 @@ def destandardize(T: Tableau, alpha: Composition) -> Tableau:
     if len(letters) != tableau_size(T) or not is_standard(T):
         raise InvalidParameters(f"not a standard tableau of size {len(letters)}: {T}")
     return tuple(tuple(letters[v - 1] for v in row) for row in T)
-
-
-def band_filling(q: Word) -> Word:
-    """Reading word of destandardize(Q, descent_composition(Q)), from q.
-
-    q is the reading word of the standard tableau Q. Label k+1 opens a new
-    band, the next letter, iff k+1 comes before k in q: a descent of Q.
-    """
-    at = [0] * (len(q) + 1)
-    for pos, label in enumerate(q):
-        at[label] = pos
-    letter_of = [0, 1]
-    for label in range(2, len(q) + 1):
-        letter_of.append(letter_of[-1] + (at[label] < at[label - 1]))
-    return tuple(letter_of[label] for label in q)
 
 
 def sources_of_type(shape: Partition, alpha: Composition) -> list[Tableau]:

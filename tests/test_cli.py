@@ -573,6 +573,45 @@ class TestSizeGuard:
                        "vertices, more than the limit of 7\n")
 
     @pytest.mark.parametrize("argv, stdout", [
+        (["skeleton", "--shape", "1200", "--format", "text"],
+         "1 vertices, 0 edges, stable bound 1\n"),
+        (["dual-equivalence", "--shape", "1200"], "1 vertices, 0 labelled edges\n"),
+    ], ids=["skeleton", "dual-equivalence"])
+    def test_a_row_of_1200_cells_is_built(self, argv, stdout):
+        # a fill that recursed once per cell passed the interpreter's depth limit
+        proc = _run_bounded_child(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+    @pytest.mark.parametrize("command", ["skeleton", "dual-equivalence"])
+    def test_long_tableaux_are_refused_by_their_cells(self, command):
+        # 1198,2 has 718,200 standard tableaux, under the vertex limit, but
+        # of 1,200 cells each
+        start = time.perf_counter()
+        proc = _run_bounded_child([command, "--shape", "1198,2"])
+        assert time.perf_counter() - start < 5.0
+        assert (proc.returncode, proc.stdout) == (1, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith("has 718200 vertices of 1200 cells, 861840000 cells in all, "
+                                 "more than the limit of 16000000")
+
+    def test_cell_limit_is_inclusive(self, monkeypatch):
+        # 3,2,1 has 16 standard tableaux of 6 cells, 8 of them with 2 descents
+        monkeypatch.setattr(cli, "MAX_CELLS", 96)
+        assert run_cli(["skeleton", "--shape", "3,2,1"])[:2] == (
+            0, "16 vertices, 26 edges, stable bound 4\n")
+        assert run_cli(["dual-equivalence", "--shape", "3,2,1"])[0] == 0
+        monkeypatch.setattr(cli, "MAX_CELLS", 95)
+        assert run_cli(["dual-equivalence", "--shape", "3,2,1"]) == (
+            1, "", "error: the dual equivalence graph of shape 3,2,1 has 16 vertices of 6 "
+            "cells, 96 cells in all, more than the limit of 95\n")
+        monkeypatch.setattr(cli, "MAX_CELLS", 47)
+        assert run_cli(["skeleton", "--shape", "3,2,1", "--max-entry", "3"])[0] == 1
+        monkeypatch.setattr(cli, "MAX_CELLS", 48)
+        assert run_cli(["skeleton", "--shape", "3,2,1", "--max-entry", "3"])[:2] == (
+            0, "8 vertices, 8 edges, stable bound 4\n")
+
+    @pytest.mark.parametrize("argv, stdout", [
         (["count", "ssyt", "--shape", "5,5,5,5", "--max-entry", "4"], "1\n"),
         (["skeleton", "--shape", "5,5,5,5", "--max-entry", "4"],
          "1 vertices, 0 edges, stable bound 16\n"),

@@ -260,7 +260,7 @@ class TestCountFormula:
             raise AssertionError("standard tableaux listed")
 
         for module in (tableaux, decomposition, skeleton, symfunc):
-            for name in ("syt_descent_compositions", "enumerate_syt"):
+            for name in ("syt_descent_compositions", "enumerate_syt", "_standard_fill"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         census = descent_count_census((8, 6, 4, 2))

@@ -225,7 +225,7 @@ class TestDualEquivalence:
 
     def test_containment_lists_the_standard_tableaux_once(self, monkeypatch):
         listings = []
-        for name in ("enumerate_syt", "enumerate_syt_by_parts"):
+        for name in ("_standard_fill",):
             def counted(*args, _list=getattr(skeleton, name)):
                 listings.append(args)
                 return _list(*args)

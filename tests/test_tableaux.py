@@ -8,7 +8,7 @@ import pytest
 from qcrystals.errors import EmptyInput, EntryOutOfRange, InvalidParameters
 from qcrystals.symfunc import f_to_monomials
 from qcrystals.tableaux import (
-    band_cells, band_filling, band_letters, bands_mergeable, check_composition,
+    _standard_fill, band_cells, band_letters, bands_mergeable, check_composition,
     check_partition, compositions_of, count_bm, count_ssyt_formula, descent_composition,
     descent_count_census, max_descent_composition_length,
     destandardize, enumerate_ssyt, enumerate_syt, enumerate_syt_by_parts,
@@ -366,6 +366,81 @@ class TestEnumeration:
         # one of the 1,662,804 standard tableaux of 5,5,5,5 has 3 descents
         assert enumerate_syt_by_parts((5, 5, 5, 5), 4) == [
             tuple(tuple(range(5 * r + 1, 5 * r + 6)) for r in range(4))]
+
+
+def _syt_by_recursive_fill(shape, max_parts):
+    """The standard tableaux whose descent composition has at most max_parts
+    parts, by the fill that once listed them: one call per label, entries
+    placed in increasing order and a branch cut past max_parts parts;
+    sorted by reading word."""
+    m = sum(shape)
+    rows = [[] for _ in shape]
+    out = []
+
+    def place(k, last_row, parts):
+        if k > m:
+            out.append(tuple(tuple(r) for r in rows))
+            return
+        for i in range(len(shape)):
+            row = rows[i]
+            if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                parts_now = parts + (i > last_row)
+                if parts_now > max_parts:
+                    break  # every later row is lower too
+                row.append(k)
+                place(k + 1, i, parts_now)
+                row.pop()
+
+    place(1, -1, 0)  # entry 1 starts the first part
+    del place
+    out.sort(key=reading_word)
+    return out
+
+
+def band_filling(q):
+    """Reading word of destandardize(Q, descent_composition(Q)), from the
+    reading word q of the standard tableau Q: label k+1 opens a new band,
+    the next letter, iff k+1 comes before k in q, a descent of Q."""
+    at = [0] * (len(q) + 1)
+    for pos, label in enumerate(q):
+        at[label] = pos
+    letter_of = [0, 1]
+    for label in range(2, len(q) + 1):
+        letter_of.append(letter_of[-1] + (at[label] < at[label - 1]))
+    return tuple(letter_of[label] for label in q)
+
+
+class TestStandardFill:
+    def test_equals_the_recursive_fill_through_size_10(self):
+        # same tableaux in the same order at every part bound
+        for m in range(1, 11):
+            for shape in partitions_of(m):
+                for n in range(0, m + 2):
+                    assert enumerate_syt_by_parts(shape, n) == _syt_by_recursive_fill(shape, n)
+
+    def test_band_letters_are_the_band_fillings(self):
+        for m in range(1, 10):
+            for shape in partitions_of(m):
+                listed = _standard_fill(shape, m)
+                assert [q for q, _ in listed] == list(map(reading_word, enumerate_syt(shape)))
+                assert all(w == band_filling(q) for q, w in listed)
+                assert syt_descent_compositions(shape) == tuple(
+                    map(descent_composition, enumerate_syt(shape)))
+
+    @pytest.mark.parametrize("shape, word", [
+        ((1200,), tuple(range(1, 1201))), ((1,) * 1200, tuple(range(1200, 0, -1))),
+    ], ids=["row", "column"])
+    def test_a_long_shape_needs_no_recursion(self, shape, word):
+        # the recursive fill passed the interpreter's depth limit here
+        (Q,) = enumerate_syt(shape)
+        assert reading_word(Q) == word
+        assert syt_descent_compositions(shape) == (word_descent_composition(word),)
+
+    def test_empty_shape(self):
+        for call in (lambda: enumerate_syt(()), lambda: enumerate_syt_by_parts((), 3),
+                     lambda: syt_descent_compositions(())):
+            with pytest.raises(EmptyInput, match="empty tableau"):
+                call()
 
 
 def _hook_length_count_per_cell(shape):
